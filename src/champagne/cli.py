@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from importlib import resources
 
 from . import catalog, geometry, signature
@@ -30,28 +29,6 @@ from .search import (
 
 FAMILY_ALIASES = {"default": "default_family.json", "r34": "r34_family.json"}
 LEMMA_KINDS = ("cycle(5)", "cycle(7)", "cycle(9)", "h7")
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    family: str = "default"
-    n_max: int = 10
-    jobs: int = 1
-    seed: int = 0
-    trials: int = 1000
-    out: str | None = None
-    witnesses: str | None = None
-    cap: int = DEFAULT_SURVIVOR_CAP
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("worker count must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 1 <= self.n_max <= 16:
-            raise ValueError("n must be in 1..16")
 
 
 def _data_text(name: str) -> str:
@@ -89,81 +66,61 @@ def _effective_jobs(args) -> int:
 
 def cmd_search(args) -> int:
     try:
-        cfg = RunConfig(
-            family=args.family,
-            n_max=args.n,
+        opts = SearchOptions(
             jobs=_effective_jobs(args),
-            seed=args.seed,
-            out=args.out,
-            witnesses=args.witnesses,
             cap=args.cap,
+            witness_path=args.witnesses,
+            collect_witnesses=args.embed_witnesses,
+            progress=not args.quiet,
+            seed=args.seed,
         )
-        fam = _resolve_family(cfg.family)
+        fam = _resolve_family(args.family)
+        report = run_search(fam, args.n, opts)
+    except SearchCapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        _emit(exc.report.to_json_obj(), args.out)
+        return 3
     except (FamilyError, GraphError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    opts = SearchOptions(
-        jobs=cfg.jobs,
-        cap=cfg.cap,
-        witness_path=cfg.witnesses,
-        collect_witnesses=args.embed_witnesses,
-        progress=not args.quiet,
-        seed=cfg.seed,
-    )
-    try:
-        report = run_search(fam, cfg.n_max, opts)
-    except SearchCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _emit(exc.report.to_json_obj(), cfg.out)
-        return 3
-    _emit(report.to_json_obj(), cfg.out)
+    _emit(report.to_json_obj(), args.out)
     return 0
 
 
 def _catalog_signature_checks():
     """Adjacency-matrix signatures of the catalog graphs covered by the
     sign-pattern facts: odd cycles and H7."""
+    expected = {f"C{n}": signature.expected_cycle_signature(n) for n in (3, 5, 7)}
+    expected["H7"] = signature.H7_SIGNATURE
     checks = []
-    for n in (3, 5, 7):
-        m = signature.SymMatrix.adjacency(catalog.get(f"C{n}"))
+    for name, want in expected.items():
+        m = signature.SymMatrix.adjacency(catalog.get(name))
         got = signature.signature_exact(m).as_tuple()
-        expected = signature.expected_cycle_signature(n)
         checks.append(
             {
-                "name": f"C{n}",
-                "expected": list(expected),
+                "name": name,
+                "expected": list(want),
                 "got": list(got),
-                "passed": got == expected,
+                "passed": got == want,
             }
         )
-    m = signature.SymMatrix.adjacency(catalog.get("H7"))
-    got = signature.signature_exact(m).as_tuple()
-    checks.append(
-        {
-            "name": "H7",
-            "expected": list(signature.H7_SIGNATURE),
-            "got": list(got),
-            "passed": got == signature.H7_SIGNATURE,
-        }
-    )
     return checks
 
 
 def cmd_verify_signatures(args) -> int:
-    try:
-        cfg = RunConfig(trials=args.trials, seed=args.seed, out=args.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     corrupt = (0, 1) if args.selftest_corrupt else None
     lemmas = []
     for kind in LEMMA_KINDS:
-        report = signature.verify_pattern_lemma(
-            kind, cfg.trials, cfg.seed, corrupt_slot=corrupt
-        )
+        try:
+            report = signature.verify_pattern_lemma(
+                kind, args.trials, args.seed, corrupt_slot=corrupt
+            )
+        except signature.MatrixError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         lemmas.append(report.to_json_obj())
         status = "ok" if report.passed else "FAIL"
-        print(f"{kind}: {status} ({cfg.trials} trials)", file=sys.stderr)
+        print(f"{kind}: {status} ({args.trials} trials)", file=sys.stderr)
         for failure in report.failures[:1]:
             print(
                 "counterexample: " + json.dumps(failure, sort_keys=True),
@@ -180,13 +137,13 @@ def cmd_verify_signatures(args) -> int:
     passed = all(l["passed"] for l in lemmas) and all(c["passed"] for c in checks)
     _emit(
         {
-            "trials": cfg.trials,
-            "seed": cfg.seed,
+            "trials": args.trials,
+            "seed": args.seed,
             "passed": passed,
             "lemmas": lemmas,
             "catalog_checks": checks,
         },
-        cfg.out,
+        args.out,
     )
     return 0 if passed else 1
 
@@ -204,43 +161,16 @@ def cmd_check_lines(args) -> int:
         return 2
 
     if args.distances_only:
-        k = len(cfg)
-        worst = 0.0
-        pairs = []
-        for v in range(k):
-            for w in range(v + 1, k):
-                a, b = cfg.lines[v], cfg.lines[w]
-                dist = geometry.line_distance(a, b)
-                worst = max(worst, abs(dist - 1.0))
-                pairs.append(
-                    {
-                        "v": v,
-                        "w": w,
-                        "distance": dist,
-                        "parallel": geometry.are_parallel(a, b),
-                        "coplanar": False,
-                        "chirality": None,
-                    }
-                )
-        ok = worst <= cfg.tolerance
+        report = geometry.config_report(cfg)
         _emit(
             {
                 "mode": "distances-only",
-                "valid": ok,
-                "config": {
-                    "dim": cfg.dim,
-                    "count": k,
-                    "tolerance": cfg.tolerance,
-                    "valid": ok,
-                    "distances_ok": ok,
-                    "has_parallel": any(p["parallel"] for p in pairs),
-                    "has_coplanar": False,
-                    "pairs": pairs,
-                },
+                "valid": report.distances_ok,
+                "config": report.to_json_obj(),
             },
             args.out,
         )
-        return 0 if ok else 1
+        return 0 if report.distances_ok else 1
 
     try:
         graph, report = geometry.chirality_graph(cfg)

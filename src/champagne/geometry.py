@@ -60,6 +60,8 @@ class DirectedLine:
             raise GeometryError("base and direction must be equal-length vectors")
         if base.size < 2:
             raise GeometryError("lines live in dimension >= 2")
+        if not (np.isfinite(base).all() and np.isfinite(direction).all()):
+            raise GeometryError("base and direction must be finite")
         if abs(np.linalg.norm(direction) - 1.0) > UNIT_TOL:
             raise GeometryError(
                 f"direction norm {np.linalg.norm(direction)} not unit within {UNIT_TOL}"
@@ -103,6 +105,10 @@ class LineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "lines", tuple(self.lines))
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise GeometryError(
+                f"tolerance must be finite and positive, got {self.tolerance}"
+            )
         for line in self.lines:
             if line.dim != self.dim:
                 raise GeometryError(
@@ -155,44 +161,70 @@ def rigid_transform(cfg: LineConfig, matrix, shift=None) -> LineConfig:
     return LineConfig(cfg.dim, lines, cfg.tolerance)
 
 
+def _pair_row(y, x, ys, xs):
+    """Line (y, x) against every line (ys[i], xs[i]) at once.
+
+    Returns the distances, the parallel flags and, in R^3 only, the signed
+    volumes <x cross xs[i], y - ys[i]> (None elsewhere).  The distance is
+    the norm of the base offset after removing its components along x and
+    along the unit part w of xs[i] orthogonal to x; for a parallel pair w
+    is dropped, which leaves the point-to-line distance.
+    """
+    dy = y - ys
+    w = xs - np.outer(xs @ x, x)
+    sine = np.linalg.norm(w, axis=1)
+    parallel = sine <= PARALLEL_TOL
+    w[parallel] = 0.0
+    w /= np.where(parallel, 1.0, sine)[:, None]
+    residue = dy - np.outer(dy @ x, x) - (dy * w).sum(axis=1)[:, None] * w
+    volume = (np.cross(x, xs) * dy).sum(axis=1) if x.size == 3 else None
+    return np.linalg.norm(residue, axis=1), parallel, volume
+
+
+def _pair(a: DirectedLine, b: DirectedLine):
+    if a.dim != b.dim:
+        raise GeometryError("lines of different dimensions")
+    return _pair_row(a.base, a.direction, b.base[None], b.direction[None])
+
+
 def are_parallel(a: DirectedLine, b: DirectedLine) -> bool:
-    # component of b's direction orthogonal to a's; zero iff parallel
-    w = b.direction - np.dot(a.direction, b.direction) * a.direction
-    return bool(np.linalg.norm(w) <= PARALLEL_TOL)
+    return bool(_pair(a, b)[1][0])
 
 
 def line_distance(a: DirectedLine, b: DirectedLine) -> float:
     """Minimal distance between the two lines, any dimension."""
-    if a.dim != b.dim:
-        raise GeometryError("lines of different dimensions")
-    dy = a.base - b.base
-    if are_parallel(a, b):
-        return float(np.linalg.norm(dy - np.dot(dy, a.direction) * a.direction))
-    # orthonormalize {x_a, x_b} and remove both components
-    u = a.direction
-    w = b.direction - np.dot(u, b.direction) * u
-    w /= np.linalg.norm(w)
-    residue = dy - np.dot(dy, u) * u - np.dot(dy, w) * w
-    return float(np.linalg.norm(residue))
-
-
-def _signed_volume(a: DirectedLine, b: DirectedLine) -> float:
-    return float(np.dot(np.cross(a.direction, b.direction), a.base - b.base))
+    return float(_pair(a, b)[0][0])
 
 
 def chirality(a: DirectedLine, b: DirectedLine) -> int:
     """Orientation sign of two non-coplanar directed lines in R^3."""
     if a.dim != 3 or b.dim != 3:
         raise GeometryError("chirality is defined only in R^3")
-    cross = np.cross(a.direction, b.direction)
-    if np.linalg.norm(cross) <= PARALLEL_TOL:
+    _, parallel, volume = _pair(a, b)
+    if parallel[0]:
         raise DegeneratePairError("parallel lines have no chirality")
-    volume = _signed_volume(a, b)
-    if abs(volume) <= DEGENERATE_TOL:
+    if abs(volume[0]) <= DEGENERATE_TOL:
         raise DegeneratePairError(
             "coplanar (intersecting) lines have no chirality"
         )
-    return 1 if volume > 0 else -1
+    return 1 if volume[0] > 0 else -1
+
+
+def _pairs(cfg: LineConfig):
+    """The row kernel's outputs for every pair, as symmetric n x n arrays;
+    one row at a time keeps the temporaries at O(n * dim)."""
+    n = len(cfg)
+    ys = np.array([ln.base for ln in cfg.lines])
+    xs = np.array([ln.direction for ln in cfg.lines])
+    distance, volume = np.zeros((n, n)), np.zeros((n, n))
+    parallel = np.zeros((n, n), dtype=bool)
+    for v in range(n - 1):
+        d, p, vol = _pair_row(ys[v], xs[v], ys[v + 1:], xs[v + 1:])
+        distance[v, v + 1:], parallel[v, v + 1:] = d, p
+        if vol is not None:
+            volume[v, v + 1:] = vol
+    volume = volume + volume.T if cfg.dim == 3 else None
+    return distance + distance.T, parallel | parallel.T, volume
 
 
 @dataclass
@@ -224,43 +256,52 @@ class ConfigReport:
         }
 
 
-def chirality_graph(cfg: LineConfig) -> tuple[Graph, ConfigReport]:
-    """Graph with an edge per +1-chirality pair, plus a validity report.
+def config_report(cfg: LineConfig) -> ConfigReport:
+    """Distance, parallel and coplanar flags of every pair, any dimension,
+    with the chirality of each non-coplanar pair in R^3 (None otherwise).
 
-    Parallel or coplanar pairs get no edge and are flagged in the report;
-    validity requires every pairwise distance within tolerance of 1 and no
+    Validity requires every pairwise distance within tolerance of 1 and no
     parallel pair.
+    """
+    distance, parallel, volume = _pairs(cfg)
+    vs, ws = np.triu_indices(len(cfg), 1)
+    distance, parallel = distance[vs, ws], parallel[vs, ws]
+    # outside R^3 a non-parallel pair is coplanar only when the lines meet
+    flat = distance if volume is None else np.abs(volume[vs, ws])
+    coplanar = parallel | (flat <= DEGENERATE_TOL)
+    signs = [None] * len(vs) if volume is None else np.sign(volume[vs, ws])
+    entries = [
+        {
+            "v": int(v),
+            "w": int(w),
+            "distance": float(d),
+            "parallel": bool(p),
+            "coplanar": bool(c),
+            "chirality": None if c or s is None else int(s),
+        }
+        for v, w, d, p, c, s in zip(vs, ws, distance, parallel, coplanar, signs)
+    ]
+    return ConfigReport(
+        cfg.dim,
+        len(cfg),
+        cfg.tolerance,
+        entries,
+        distances_ok=bool(np.all(np.abs(distance - 1.0) <= cfg.tolerance)),
+        has_parallel=bool(parallel.any()),
+        has_coplanar=bool(coplanar.any()),
+    )
+
+
+def chirality_graph(cfg: LineConfig) -> tuple[Graph, ConfigReport]:
+    """Graph with an edge per +1-chirality pair, plus the config report.
+
+    Parallel or coplanar pairs get no edge and are flagged in the report.
     """
     if cfg.dim != 3:
         raise GeometryError("chirality graphs are defined only in R^3")
-    n = len(cfg.lines)
-    report = ConfigReport(cfg.dim, n, cfg.tolerance)
-    edges = []
-    for v in range(n):
-        for w in range(v + 1, n):
-            a, b = cfg.lines[v], cfg.lines[w]
-            dist = line_distance(a, b)
-            parallel = are_parallel(a, b)
-            coplanar = bool(parallel or abs(_signed_volume(a, b)) <= DEGENERATE_TOL)
-            sign = None
-            if not coplanar:
-                sign = chirality(a, b)
-                if sign > 0:
-                    edges.append((v, w))
-            entry = {
-                "v": v,
-                "w": w,
-                "distance": dist,
-                "parallel": parallel,
-                "coplanar": coplanar,
-                "chirality": sign,
-            }
-            report.pairs.append(entry)
-            if abs(dist - 1.0) > cfg.tolerance:
-                report.distances_ok = False
-            report.has_parallel = report.has_parallel or parallel
-            report.has_coplanar = report.has_coplanar or coplanar
-    return Graph.from_edges(n, edges), report
+    report = config_report(cfg)
+    edges = [(p["v"], p["w"]) for p in report.pairs if p["chirality"] == 1]
+    return Graph.from_edges(len(cfg), edges), report
 
 
 @dataclass
@@ -282,24 +323,25 @@ class TMatrix:
         return float(np.abs(self.matrix - gram).max())
 
 
-def t_matrix(cfg: LineConfig) -> TMatrix:
-    if cfg.dim != 3:
-        raise GeometryError("the orientation matrix is defined only in R^3")
-    n = len(cfg.lines)
-    matrix = np.zeros((n, n))
-    factors = np.zeros((n, 6))
+def _t_matrix(cfg: LineConfig, parallel: np.ndarray, volume: np.ndarray) -> TMatrix:
+    found = np.argwhere(np.triu(parallel))
+    if len(found):
+        v, w = found[0]
+        raise DegeneratePairError(
+            f"lines {v} and {w} are parallel; orientation matrix undefined"
+        )
+    factors = np.zeros((len(cfg), 6))
     for v, line in enumerate(cfg.lines):
         factors[v, :3] = np.cross(line.base, line.direction)
         factors[v, 3:] = line.direction
-    for v in range(n):
-        for w in range(v + 1, n):
-            a, b = cfg.lines[v], cfg.lines[w]
-            if are_parallel(a, b):
-                raise DegeneratePairError(
-                    f"lines {v} and {w} are parallel; orientation matrix undefined"
-                )
-            matrix[v, w] = matrix[w, v] = _signed_volume(a, b)
-    return TMatrix(matrix, factors)
+    return TMatrix(volume, factors)
+
+
+def t_matrix(cfg: LineConfig) -> TMatrix:
+    if cfg.dim != 3:
+        raise GeometryError("the orientation matrix is defined only in R^3")
+    _, parallel, volume = _pairs(cfg)
+    return _t_matrix(cfg, parallel, volume)
 
 
 @dataclass
@@ -321,29 +363,27 @@ class RealizationReport:
         }
 
 
-def check_realization(cfg: LineConfig, tol: float | None = None) -> RealizationReport:
+def check_realization(cfg: LineConfig) -> RealizationReport:
     """Check the four numeric constraints a unit-distance realization must
     satisfy: off-diagonal entries nonzero, sign pattern equal to the
     chirality graph, at most 3 negative eigenvalues, and |a| of signature
     (1, n-1).  Raises InvalidConfigError when distances stray from 1."""
     if cfg.dim != 3:
         raise GeometryError("realization checks are defined only in R^3")
-    n = len(cfg.lines)
+    n = len(cfg)
     if n < 2:
         raise GeometryError("realization checks need at least 2 lines")
-    tol = cfg.tolerance if tol is None else tol
-    deviation = 0.0
-    for v in range(n):
-        for w in range(v + 1, n):
-            dist = line_distance(cfg.lines[v], cfg.lines[w])
-            deviation = max(deviation, abs(dist - 1.0))
-            if abs(dist - 1.0) > tol:
-                raise InvalidConfigError(
-                    f"lines {v} and {w} at distance {dist}, not 1 within {tol}"
-                )
-    tmat = t_matrix(cfg)
-    graph, _ = chirality_graph(cfg)
-    report = RealizationReport(n, deviation)
+    distance, parallel, volume = _pairs(cfg)
+    deviation = np.triu(np.abs(distance - 1.0), 1)
+    stray = np.argwhere(deviation > cfg.tolerance)
+    if len(stray):
+        v, w = stray[0]
+        raise InvalidConfigError(
+            f"lines {v} and {w} at distance {distance[v, w]}, "
+            f"not 1 within {cfg.tolerance}"
+        )
+    tmat = _t_matrix(cfg, parallel, volume)
+    report = RealizationReport(n, float(deviation.max()))
 
     offdiag = np.abs(tmat.matrix[~np.eye(n, dtype=bool)])
     margin = float(offdiag.min()) if offdiag.size else math.inf
@@ -352,15 +392,12 @@ def check_realization(cfg: LineConfig, tol: float | None = None) -> RealizationR
         "min_abs_entry": margin,
     }
 
-    mismatches = [
-        (v, w)
-        for v in range(n)
-        for w in range(v + 1, n)
-        if (tmat.matrix[v, w] > 0) != graph.has_edge(v, w)
-    ]
+    # a positive entry within the coplanarity tolerance carries no edge
+    edgeless = (tmat.matrix > 0) & (tmat.matrix <= DEGENERATE_TOL)
+    mismatches = np.argwhere(np.triu(edgeless))
     report.properties["sign_pattern_matches_chirality"] = {
-        "passed": not mismatches,
-        "mismatched_pairs": mismatches,
+        "passed": not len(mismatches),
+        "mismatched_pairs": [(int(v), int(w)) for v, w in mismatches],
     }
 
     sig_t = signature_of_array(tmat.matrix)

@@ -9,8 +9,9 @@ off the trailing zero coefficients, that yields the full signature.  This
 avoids pivoting entirely, which matters because the sign-pattern matrices
 verified here have zero diagonals.
 
-The floating route is a cyclic Jacobi eigensolver with a tolerance band
-around zero, applied after normalizing the matrix to unit max-norm.
+The floating route takes numpy's symmetric eigensolver (`eigvalsh`) on
+the matrix normalized to unit max-norm and counts eigenvalues within a
+tolerance band around zero as zero.
 
 On top of these sit samplers and checkers for two sign-pattern families:
 odd cyclic band matrices (positive on the +-1 mod n band, zero elsewhere)
@@ -36,7 +37,6 @@ from .graphs import Graph
 
 SAMPLE_DENOMINATOR = 1 << 16
 FLOAT_TOL = 1e-9
-JACOBI_SWEEP_LIMIT = 30  # documented non-convergence limit
 
 H7_EDGES = tuple(catalog.H7.edges())
 H7_SIGNATURE = (4, 0, 3)
@@ -47,10 +47,6 @@ class MatrixError(ValueError):
 
 
 class PatternViolation(MatrixError):
-    pass
-
-
-class JacobiConvergenceError(RuntimeError):
     pass
 
 
@@ -219,18 +215,21 @@ def _sign_variations(coeffs) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def signature_exact(m: SymMatrix) -> Signature:
-    """Exact inertia from characteristic-coefficient sign variations.
+def _exact_invariants(m: SymMatrix) -> tuple[Fraction, Signature]:
+    """Determinant and inertia from one characteristic polynomial.
 
-    All roots are real, so Descartes' count is exact; rescaling by the
-    positive common denominator leaves every eigenvalue sign unchanged.
+    The determinant is (-1)^n times the constant coefficient, divided by the
+    common denominator to the n-th power.  All roots are real, so Descartes'
+    count is exact; rescaling by the positive common denominator leaves
+    every eigenvalue sign unchanged.
     """
     if m.mode != "exact":
-        raise MatrixError("signature_exact requires an exact-mode matrix")
+        raise MatrixError("exact inertia and determinant need an exact-mode matrix")
     if m.n == 0:
-        return Signature(0, 0, 0)
-    scaled, _ = _integer_scaled(m)
+        return Fraction(1), Signature(0, 0, 0)
+    scaled, lcm = _integer_scaled(m)
     coeffs = charpoly_int(scaled)
+    det = Fraction((-1) ** m.n * coeffs[0], lcm**m.n)
     n_zero = 0
     while coeffs[n_zero] == 0:
         n_zero += 1
@@ -241,18 +240,17 @@ def signature_exact(m: SymMatrix) -> Signature:
     )
     if n_plus + n_minus != m.n - n_zero:
         raise MatrixError("sign variations inconsistent with real spectrum")
-    return Signature(n_plus, n_zero, n_minus)
+    return det, Signature(n_plus, n_zero, n_minus)
+
+
+def signature_exact(m: SymMatrix) -> Signature:
+    """Exact inertia from characteristic-coefficient sign variations."""
+    return _exact_invariants(m)[1]
 
 
 def det_exact(m: SymMatrix) -> Fraction:
     """Determinant via the characteristic polynomial's constant term."""
-    if m.mode != "exact":
-        raise MatrixError("det_exact requires an exact-mode matrix")
-    if m.n == 0:
-        return Fraction(1)
-    scaled, lcm = _integer_scaled(m)
-    c0 = charpoly_int(scaled)[0]
-    return Fraction((-1) ** m.n * c0, lcm**m.n)
+    return _exact_invariants(m)[0]
 
 
 def det_bareiss(m: SymMatrix) -> Fraction:
@@ -283,61 +281,6 @@ def det_bareiss(m: SymMatrix) -> Fraction:
 # -- floating route ------------------------------------------------------------
 
 
-def jacobi_eigenvalues(
-    a, sweep_limit: int = JACOBI_SWEEP_LIMIT, off_tol: float = 1e-13
-) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, sorted.
-
-    Sweeps rotate every off-diagonal pair once; stops when the off-diagonal
-    Frobenius norm falls below off_tol (relative to the matrix norm), and
-    raises JacobiConvergenceError after `sweep_limit` sweeps.
-    """
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    if n < 2:
-        return np.sort(np.diag(a))
-    scale = max(np.abs(a).max(), 1.0)
-    others = [
-        np.array([i for i in range(n) if i not in (p, q)], dtype=np.intp)
-        for p in range(n)
-        for q in range(n)
-    ]
-    for _ in range(sweep_limit):
-        hollow = a.copy()
-        np.fill_diagonal(hollow, 0.0)
-        if math.sqrt((hollow * hollow).sum()) <= off_tol * scale:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    phi = diff / (2.0 * apq)
-                    t = 1.0 / (abs(phi) + math.sqrt(phi * phi + 1.0))
-                    if phi < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                idx = others[p * n + q]
-                aip = a[idx, p].copy()
-                aiq = a[idx, q].copy()
-                new_p = aip - s * (aiq + tau * aip)
-                new_q = aiq + s * (aip - tau * aiq)
-                a[idx, p] = a[p, idx] = new_p
-                a[idx, q] = a[q, idx] = new_q
-                a[p, p] -= t * apq
-                a[q, q] += t * apq
-                a[p, q] = a[q, p] = 0.0
-    raise JacobiConvergenceError(
-        f"no convergence after {sweep_limit} Jacobi sweeps"
-    )
-
-
 def signature_of_array(arr, tol: float = FLOAT_TOL) -> Signature:
     """Inertia of a float symmetric array; |eigenvalue| <= tol counts as zero.
 
@@ -353,7 +296,7 @@ def signature_of_array(arr, tol: float = FLOAT_TOL) -> Signature:
     top = np.abs(arr).max()
     if top == 0.0:
         return Signature(0, n, 0)
-    eig = jacobi_eigenvalues(arr / top)
+    eig = np.linalg.eigvalsh(arr / top)
     n_plus = int((eig > tol).sum())
     n_minus = int((eig < -tol).sum())
     return Signature(n_plus, n - n_plus - n_minus, n_minus)
@@ -459,7 +402,7 @@ def check_sample(m: SymMatrix, kind: str) -> list[str]:
         m.check_pattern(pairs)
     except PatternViolation as exc:
         problems.append(f"pattern: {exc}")
-    det = det_exact(m)
+    det, sig = _exact_invariants(m)
     if name == "cycle":
         expected_det = cycle_det_formula(m, n)
         if det != expected_det:
@@ -474,9 +417,8 @@ def check_sample(m: SymMatrix, kind: str) -> list[str]:
         if not det < 0:
             problems.append(f"determinant {det} not negative")
         expected_sig = H7_SIGNATURE
-    sig = signature_exact(m).as_tuple()
-    if sig != expected_sig:
-        problems.append(f"signature {sig} != expected {expected_sig}")
+    if sig.as_tuple() != expected_sig:
+        problems.append(f"signature {sig.as_tuple()} != expected {expected_sig}")
     return problems
 
 

@@ -15,6 +15,7 @@ from champagne.geometry import (
     check_realization,
     chirality,
     chirality_graph,
+    config_report,
     line_distance,
     load_config,
     lower_bound_config,
@@ -58,6 +59,73 @@ def test_directed_line_validation():
     ln = DirectedLine.through(np.zeros(3), np.array([2.0, 0.0, 0.0]))
     assert np.allclose(ln.direction, [1, 0, 0])
     assert np.allclose(ln.reversed().direction, [-1, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "base, direction",
+    [
+        ([0.0, 0.0, 0.0], [float("nan"), 0.0, 0.0]),
+        ([float("nan"), 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([float("inf"), 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([0.0, 0.0, 0.0], [float("inf"), 0.0, 0.0]),
+    ],
+)
+def test_directed_line_rejects_non_finite(base, direction):
+    with pytest.raises(GeometryError):
+        DirectedLine(np.array(base), np.array(direction))
+    with pytest.raises(GeometryError):
+        DirectedLine.from_json_obj({"base": base, "dir": direction})
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_rejects_bad_tolerance(tol):
+    with pytest.raises(GeometryError):
+        LineConfig(3, (X_AXIS, L2), tol)
+    with pytest.raises(GeometryError):
+        LineConfig.from_json_obj({**THREE.to_json_obj(), "tolerance": tol})
+
+
+def scalar_pair(a, b):
+    """Reference loop body: distance, parallel flag and R^3 volume of one
+    pair by the residue-vector formula, one pair at a time."""
+    dy = a.base - b.base
+    u = a.direction
+    w = b.direction - np.dot(u, b.direction) * u
+    parallel = bool(np.linalg.norm(w) <= 1e-12)
+    residue = dy - np.dot(dy, u) * u
+    if not parallel:
+        w /= np.linalg.norm(w)
+        residue = residue - np.dot(dy, w) * w
+    volume = float(np.dot(np.cross(u, b.direction), dy)) if a.dim == 3 else None
+    return float(np.linalg.norm(residue)), parallel, volume
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 7])
+def test_all_pairs_match_scalar_loop(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        lines = [random_line(rng, dim) for _ in range(int(rng.integers(2, 9)))]
+        lines.append(DirectedLine(lines[0].base + rng.normal(size=dim), lines[0].direction))
+        cfg = LineConfig(dim, tuple(lines))
+        report = config_report(cfg)
+        for pair in report.pairs:
+            a, b = cfg.lines[pair["v"]], cfg.lines[pair["w"]]
+            distance, parallel, volume = scalar_pair(a, b)
+            assert pair["distance"] == pytest.approx(distance, abs=1e-12)
+            assert pair["parallel"] == parallel
+            flat = abs(volume if dim == 3 else distance) <= 1e-12
+            assert pair["coplanar"] == (parallel or flat)
+            if dim == 3 and not pair["coplanar"]:
+                assert pair["chirality"] == (1 if volume > 0 else -1)
+            else:
+                assert pair["chirality"] is None
+        assert report.has_parallel
+        if dim == 3:
+            matrix = t_matrix(LineConfig(3, tuple(lines[:-1]))).matrix
+            for v in range(len(lines) - 1):
+                for w in range(len(lines) - 1):
+                    expected = 0.0 if v == w else scalar_pair(lines[v], lines[w])[2]
+                    assert matrix[v, w] == pytest.approx(expected, abs=1e-12)
 
 
 def test_line_distance_examples():

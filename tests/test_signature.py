@@ -9,7 +9,6 @@ import pytest
 from champagne import catalog
 from champagne.signature import (
     H7_SIGNATURE,
-    JacobiConvergenceError,
     MatrixError,
     PatternViolation,
     SymMatrix,
@@ -23,7 +22,6 @@ from champagne.signature import (
     expected_cycle_signature,
     h7_det_formula,
     h7_pattern_sample,
-    jacobi_eigenvalues,
     signature_exact,
     signature_float,
     signature_of_array,
@@ -112,23 +110,7 @@ def test_det_of_singular_matrix():
     assert signature_exact(m).as_tuple() == (1, 1, 0)
 
 
-# -- Jacobi -------------------------------------------------------------------
-
-
-def test_jacobi_against_library_solver(rng):
-    for _ in range(200):
-        n = rng.randint(1, 12)
-        a = np.random.default_rng(rng.getrandbits(32)).normal(size=(n, n))
-        a = (a + a.T) / 2
-        assert np.allclose(
-            jacobi_eigenvalues(a), np.sort(np.linalg.eigvalsh(a)), atol=1e-9
-        )
-
-
-def test_jacobi_sweep_limit():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(JacobiConvergenceError):
-        jacobi_eigenvalues(a, sweep_limit=0)
+# -- floating route ------------------------------------------------------------
 
 
 def test_cycle_eigenvalues_closed_form():
@@ -136,7 +118,7 @@ def test_cycle_eigenvalues_closed_form():
     for n in (3, 5, 7, 9):
         adj = SymMatrix.adjacency(catalog.cycle_graph(n)).to_float_array()
         assert np.allclose(
-            cycle_eigenvalues(n), jacobi_eigenvalues(adj), atol=1e-12
+            cycle_eigenvalues(n), np.linalg.eigvalsh(adj), atol=1e-12
         )
         assert abs(sum(cycle_eigenvalues(n))) < 1e-9
     with pytest.raises(MatrixError):
@@ -238,6 +220,25 @@ def test_verify_pattern_lemma_rejects_bad_input():
 
 def test_check_sample_accepts_valid_h7(rng):
     assert check_sample(h7_pattern_sample(rng), "h7") == []
+
+
+def test_check_sample_takes_one_characteristic_polynomial(rng, monkeypatch):
+    from champagne import signature
+
+    calls = []
+
+    def counted(b):
+        calls.append(len(b))
+        return charpoly_int(b)
+
+    monkeypatch.setattr(signature, "charpoly_int", counted)
+    for kind, sample in (
+        ("h7", h7_pattern_sample(rng)),
+        ("cycle(7)", cycle_pattern_sample(7, rng)),
+    ):
+        calls.clear()
+        assert check_sample(sample, kind) == []
+        assert calls == [sample.n]
 
 
 # -- SymMatrix plumbing ---------------------------------------------------------
