@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, complement
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,11 @@ H7 = Graph.from_edges(
 
 
 def _complement_in_complete(n: int, removed: Graph) -> Graph:
-    """K_n minus the edges of `removed` (placed on vertices 0..removed.n-1)."""
-    bits = Graph.complete(n).bits
-    for u, v in removed.edges():
-        bits ^= 1 << (max(u, v) * (max(u, v) - 1) // 2 + min(u, v))
-    return Graph(n, bits)
+    """K_n minus the edges of `removed` (placed on vertices 0..removed.n-1).
+
+    Pair slots are grouped by the larger endpoint, so `removed.bits` is
+    already the edge set of `removed` inside K_n."""
+    return complement(Graph(n, removed.bits))
 
 
 def _build_catalog() -> dict[str, Graph]:

@@ -47,7 +47,10 @@ def _resolve_family(spec: str):
 
 
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    _write(json.dumps(obj, indent=2, sort_keys=True), out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -95,7 +98,7 @@ def _catalog_signature_checks():
     checks = []
     for name, want in expected.items():
         m = signature.SymMatrix.adjacency(catalog.get(name))
-        got = signature.signature_exact(m).as_tuple()
+        got = signature.signature_exact(m)
         checks.append(
             {
                 "name": name,
@@ -150,10 +153,7 @@ def cmd_verify_signatures(args) -> int:
 
 def cmd_check_lines(args) -> int:
     try:
-        if args.config == "-":
-            cfg = geometry.LineConfig.from_json_obj(json.load(sys.stdin))
-        else:
-            cfg = geometry.load_config(args.config)
+        cfg = geometry.load_config(sys.stdin if args.config == "-" else args.config)
         if args.tol is not None:
             cfg = geometry.LineConfig(cfg.dim, cfg.lines, args.tol)
     except (geometry.GeometryError, OSError, json.JSONDecodeError, ValueError) as exc:
@@ -227,12 +227,7 @@ def cmd_catalog(args) -> int:
             f"{entry.name:6s} n={g.n} edges={{{edges}}} "
             f"graph6={g.to_graph6()} canonical={canonical_form(g).code}"
         )
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), args.out)
     return 0
 
 

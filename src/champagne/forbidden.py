@@ -21,7 +21,7 @@ import json
 from functools import lru_cache
 
 from . import catalog
-from .graphs import Graph, complement, pair_count, permute
+from .graphs import Graph, complement, induced_code, pair_count, permute
 
 SCOPES = ("both", "red", "blue")
 
@@ -39,18 +39,6 @@ def labeled_copies(pattern: Graph) -> frozenset[int]:
         permute(pattern, perm).bits
         for perm in itertools.permutations(range(pattern.n))
     )
-
-
-def induced_code(rows, subset) -> int:
-    """Edge bitset of the subgraph induced on `subset` (given ascending)."""
-    code = 0
-    for j in range(1, len(subset)):
-        row = rows[subset[j]]
-        base = j * (j - 1) // 2
-        for i in range(j):
-            if row >> subset[i] & 1:
-                code |= 1 << (base + i)
-    return code
 
 
 class ForbiddenFamily:

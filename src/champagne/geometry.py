@@ -46,6 +46,11 @@ class InvalidConfigError(GeometryError):
     pass
 
 
+def _is_number(x) -> bool:
+    """A JSON number: int or float, not bool."""
+    return type(x) in (int, float)
+
+
 @dataclass(frozen=True)
 class DirectedLine:
     """Line base + R * direction, with a unit direction vector."""
@@ -91,8 +96,11 @@ class DirectedLine:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DirectedLine":
-        if not isinstance(obj, dict) or "base" not in obj or "dir" not in obj:
-            raise GeometryError("line JSON needs 'base' and 'dir'")
+        if not isinstance(obj, dict) or not all(
+            isinstance(obj.get(key), list) and all(map(_is_number, obj[key]))
+            for key in ("base", "dir")
+        ):
+            raise GeometryError("line JSON needs 'base' and 'dir' lists of numbers")
         return cls(np.array(obj["base"], dtype=float),
                    np.array(obj["dir"], dtype=float))
 
@@ -105,6 +113,8 @@ class LineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "lines", tuple(self.lines))
+        if self.dim < 2:
+            raise GeometryError(f"lines live in dimension >= 2, got {self.dim}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise GeometryError(
                 f"tolerance must be finite and positive, got {self.tolerance}"
@@ -134,10 +144,16 @@ class LineConfig:
     def from_json_obj(cls, obj: dict) -> "LineConfig":
         if not isinstance(obj, dict) or "dim" not in obj or "lines" not in obj:
             raise GeometryError("config JSON needs 'dim' and 'lines'")
+        dim, lines = obj["dim"], obj["lines"]
+        tolerance = obj.get("tolerance", DISTANCE_TOL)
+        if not (type(dim) is int and isinstance(lines, list) and _is_number(tolerance)):
+            raise GeometryError(
+                "config 'dim' must be an integer, 'lines' a list, 'tolerance' a number"
+            )
         return cls(
-            int(obj["dim"]),
-            tuple(DirectedLine.from_json_obj(entry) for entry in obj["lines"]),
-            float(obj.get("tolerance", DISTANCE_TOL)),
+            dim,
+            tuple(DirectedLine.from_json_obj(entry) for entry in lines),
+            float(tolerance),
         )
 
 
@@ -403,13 +419,13 @@ def check_realization(cfg: LineConfig) -> RealizationReport:
     sig_t = signature_of_array(tmat.matrix)
     report.properties["at_most_3_negative_eigenvalues"] = {
         "passed": sig_t.n_minus <= 3,
-        "signature": list(sig_t.as_tuple()),
+        "signature": list(sig_t),
     }
 
     sig_abs = signature_of_array(np.abs(tmat.matrix))
     report.properties["abs_matrix_signature"] = {
-        "passed": sig_abs.as_tuple() == (1, 0, n - 1),
-        "signature": list(sig_abs.as_tuple()),
+        "passed": sig_abs == (1, 0, n - 1),
+        "signature": list(sig_abs),
         "expected": [1, 0, n - 1],
     }
     return report

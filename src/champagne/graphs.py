@@ -110,7 +110,12 @@ class Graph:
     def from_json_obj(cls, obj: dict) -> "Graph":
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise GraphError("graph JSON must be an object with 'n' and 'edges'")
-        return cls.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+        n, edges = obj["n"], obj["edges"]
+        if type(n) is not int or not isinstance(edges, list) or not all(
+            isinstance(e, list) and [type(x) for x in e] == [int, int] for e in edges
+        ):
+            raise GraphError("graph JSON needs an integer 'n' and [u, v] integer edges")
+        return cls.from_edges(n, [tuple(e) for e in edges])
 
     def to_graph6(self) -> str:
         """Encode in the standard graph6 ASCII format (n <= 62 supported)."""
@@ -180,19 +185,25 @@ def permute(g: Graph, perm) -> Graph:
     return Graph(g.n, bits)
 
 
+def induced_code(rows, subset) -> int:
+    """Edge bitset of the subgraph induced on `subset` (given ascending),
+    from the adjacency bitmasks `rows` of the whole graph."""
+    code = 0
+    for j in range(1, len(subset)):
+        row = rows[subset[j]]
+        base = j * (j - 1) // 2
+        for i in range(j):
+            if row >> subset[i] & 1:
+                code |= 1 << (base + i)
+    return code
+
+
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Subgraph induced on `vertices`, relabeled 0.. in increasing label order."""
     vs = sorted(set(vertices))
     if vs and not (0 <= vs[0] and vs[-1] < g.n):
         raise GraphError(f"vertex subset {vs} outside 0..{g.n - 1}")
-    bits = 0
-    for j in range(1, len(vs)):
-        base = vs[j] * (vs[j] - 1) // 2
-        jbase = j * (j - 1) // 2
-        for i in range(j):
-            if g.bits >> (base + vs[i]) & 1:
-                bits |= 1 << (jbase + i)
-    return Graph(len(vs), bits)
+    return Graph(len(vs), induced_code(g.rows(), vs))
 
 
 def switch(g: Graph, w: int) -> Graph:

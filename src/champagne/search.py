@@ -29,8 +29,8 @@ from functools import lru_cache
 import multiprocessing
 import numpy as np
 
-from .forbidden import ForbiddenFamily, induced_code, is_forbidden
-from .graphs import Graph, canonical_form, pair_count, pair_slot
+from .forbidden import ForbiddenFamily, is_forbidden
+from .graphs import Graph, canonical_form, induced_code, pair_count, pair_slot
 
 DEFAULT_SURVIVOR_CAP = 50_000_000
 
@@ -79,7 +79,6 @@ class SearchOptions:
     collect_witnesses: bool = False
     witness_path: str | None = None
     progress: bool = False
-    keep_levels: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -101,7 +100,6 @@ class SearchReport:
     levels: list = field(default_factory=list)
     verdict: dict | None = None
     witnesses: dict | None = None
-    feasible_levels: list | None = field(default=None, repr=False)
 
     def to_json_obj(self, with_timing: bool = True) -> dict:
         """Full report; with_timing=False drops the run-environment fields
@@ -250,7 +248,7 @@ def run_search(
     report.levels.append(
         {"k": 1, "count": 1, "expanded": 1, "kept": 1, "seconds": 0.0}
     )
-    levels = [level]
+    final = level  # the last non-empty level
     while level.k < n_max and level.count > 0:
         t0 = time.perf_counter()
         level, expanded, kept = _extend_level_stats(level, fam, opts.jobs)
@@ -269,7 +267,8 @@ def run_search(
                 f"deduped={level.count} elapsed={time.perf_counter() - start:.2f}",
                 file=sys.stderr,
             )
-        levels.append(level)
+        if level.count > 0:
+            final = level
         if max(kept, level.count) > opts.cap:
             report.verdict = {"kind": "cap-exceeded", "k": level.k}
             raise SearchCapExceeded(report)
@@ -281,7 +280,6 @@ def run_search(
             "k": level.k,
             "count": level.count,
         }
-    final = next(lv for lv in reversed(levels) if lv.count > 0)
     if opts.collect_witnesses or opts.witness_path:
         lines = [g.to_graph6() for g in final.graphs]
         report.witnesses = {"k": final.k, "count": final.count}
@@ -291,8 +289,6 @@ def run_search(
             report.witnesses["path"] = opts.witness_path
         if opts.collect_witnesses:
             report.witnesses["graph6"] = lines
-    if opts.keep_levels:
-        report.feasible_levels = levels
     return report
 
 

@@ -1,34 +1,36 @@
 """Inertia of real symmetric matrices, exact and floating-point.
 
-The exact route clears denominators and computes the characteristic
-polynomial of the resulting integer matrix (Faddeev-LeVerrier, exact
-integer divisions).  A symmetric matrix has only real eigenvalues, so
-Descartes' sign-variation count on the coefficients is not a bound but the
-exact number of positive roots; with the multiplicity of the zero root read
-off the trailing zero coefficients, that yields the full signature.  This
-avoids pivoting entirely, which matters because the sign-pattern matrices
-verified here have zero diagonals.
+The exact route takes a `SymMatrix` of `Fraction` entries, clears
+denominators and computes the characteristic polynomial of the resulting
+integer matrix (Faddeev-LeVerrier, exact integer divisions).  A symmetric
+matrix has only real eigenvalues, so Descartes' sign-variation count on the
+coefficients is not a bound but the exact number of positive roots; with
+the multiplicity of the zero root read off the trailing zero coefficients,
+that yields the full signature.  This avoids pivoting entirely, which
+matters because the sign-pattern matrices verified here have zero
+diagonals.
 
-The floating route takes numpy's symmetric eigensolver (`eigvalsh`) on
-the matrix normalized to unit max-norm and counts eigenvalues within a
-tolerance band around zero as zero.
+The floating route (`signature_of_array`, for the line geometry) takes
+numpy's symmetric eigensolver (`eigvalsh`) on an ndarray normalized to unit
+max-norm and counts eigenvalues within `FLOAT_TOL` of zero as zero.
 
-On top of these sit samplers and checkers for two sign-pattern families:
-odd cyclic band matrices (positive on the +-1 mod n band, zero elsewhere)
-whose determinant is 2 * prod of the band entries and whose signature
-depends only on n mod 4, and 7x7 matrices positive exactly on the edges of
-the catalog graph H7, which have negative determinant and signature (4,3).
-Randomized sampling is evidence that the signature is constant on each
-family, not a proof; reports carry a `method` field saying so.
+On top of the exact route sit samplers and checkers for two sign-pattern
+families: odd cyclic band matrices (positive on the +-1 mod n band, zero
+elsewhere) whose determinant is 2 * prod of the band entries and whose
+signature depends only on n mod 4, and 7x7 matrices positive exactly on
+the edges of the catalog graph H7, which have negative determinant and
+signature (4,3).  Randomized sampling is evidence that the signature is
+constant on each family, not a proof; reports carry a `method` field
+saying so.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .graphs import Graph
 SAMPLE_DENOMINATOR = 1 << 16
 FLOAT_TOL = 1e-9
 
-H7_EDGES = tuple(catalog.H7.edges())
+H7_PATTERN = frozenset(catalog.H7.edges())
 H7_SIGNATURE = (4, 0, 3)
 
 
@@ -50,89 +52,41 @@ class PatternViolation(MatrixError):
     pass
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     n_plus: int
     n_zero: int
     n_minus: int
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.n_plus, self.n_zero, self.n_minus)
 
-    def __iter__(self):
-        return iter(self.as_tuple())
-
-
-@dataclass
 class SymMatrix:
-    """Symmetric matrix in "exact" (Fraction) or "float" (ndarray) mode.
+    """Symmetric matrix of exact `Fraction` entries, built from its rows.
 
-    `pattern`, when set, is the frozenset of off-diagonal pairs required to
-    be strictly positive; every other entry (diagonal included) must be
-    exactly zero.  Construction validates symmetry and the pattern.
+    Construction validates that the rows are square and symmetric.
     """
 
-    n: int
-    mode: str
-    entries: object
-    pattern: frozenset | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "float"):
-            raise MatrixError(f"mode must be 'exact' or 'float', got {self.mode!r}")
-        if self.mode == "exact":
-            rows = tuple(
-                tuple(Fraction(x) for x in row) for row in self.entries
-            )
-            if len(rows) != self.n or any(len(r) != self.n for r in rows):
-                raise MatrixError(f"entries are not {self.n}x{self.n}")
-            for i in range(self.n):
-                for j in range(i):
-                    if rows[i][j] != rows[j][i]:
-                        raise MatrixError(f"not symmetric at ({i},{j})")
-            self.entries = rows
-        else:
-            arr = np.array(self.entries, dtype=float)
-            if arr.shape != (self.n, self.n):
-                raise MatrixError(f"entries are not {self.n}x{self.n}")
-            if not np.allclose(arr, arr.T, atol=0, rtol=0):
-                raise MatrixError("not symmetric")
-            self.entries = arr
-        if self.pattern is not None:
-            self.pattern = frozenset(
-                (min(u, v), max(u, v)) for u, v in self.pattern
-            )
-            self.check_pattern()
+    def __init__(self, rows):
+        self.entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.n = n = len(self.entries)
+        if any(len(r) != n for r in self.entries):
+            raise MatrixError(f"entries are not {n}x{n}")
+        for i in range(n):
+            for j in range(i):
+                if self.entries[i][j] != self.entries[j][i]:
+                    raise MatrixError(f"not symmetric at ({i},{j})")
 
     @classmethod
-    def exact(cls, rows, pattern=None) -> "SymMatrix":
-        return cls(len(rows), "exact", rows, pattern)
-
-    @classmethod
-    def from_float(cls, rows) -> "SymMatrix":
-        arr = np.array(rows, dtype=float)
-        return cls(len(arr), "float", arr)
-
-    @classmethod
-    def adjacency(cls, g: Graph, mode: str = "exact") -> "SymMatrix":
+    def adjacency(cls, g: Graph) -> "SymMatrix":
         rows = [[0] * g.n for _ in range(g.n)]
         for u, v in g.edges():
             rows[u][v] = rows[v][u] = 1
-        return cls(g.n, mode, rows)
+        return cls(rows)
 
-    def value(self, i: int, j: int):
-        if self.mode == "exact":
-            return self.entries[i][j]
-        return self.entries[i, j]
-
-    def check_pattern(self, pattern: frozenset | None = None) -> None:
-        """Require strict positivity on pattern slots, exact zero elsewhere."""
-        pattern = self.pattern if pattern is None else pattern
-        if pattern is None:
-            raise MatrixError("matrix carries no pattern")
+    def check_pattern(self, pattern: frozenset) -> None:
+        """Require strict positivity on the pattern's pairs (either order)
+        and exact zero everywhere else, diagonal included."""
         for i in range(self.n):
             for j in range(i + 1):
-                v = self.value(i, j)
+                v = self.entries[i][j]
                 if (j, i) in pattern or (i, j) in pattern:
                     if not v > 0:
                         raise PatternViolation(
@@ -141,38 +95,12 @@ class SymMatrix:
                 elif v != 0:
                     raise PatternViolation(f"slot ({j},{i}) must be zero, got {v}")
 
-    def to_float_array(self) -> np.ndarray:
-        if self.mode == "float":
-            return np.array(self.entries, dtype=float, copy=True)
-        return np.array(
-            [[float(x) for x in row] for row in self.entries], dtype=float
-        )
-
     def to_json_obj(self) -> dict:
-        if self.mode == "exact":
-            rows = [
-                [f"{x.numerator}/{x.denominator}" for x in row]
-                for row in self.entries
-            ]
-        else:
-            rows = [[float(x) for x in row] for row in self.entries]
-        return {"mode": self.mode, "entries": rows}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SymMatrix":
-        mode = obj.get("mode")
-        rows = obj.get("entries")
-        if mode == "exact":
-            parsed = [[Fraction(x) for x in row] for row in rows]
-            return cls.exact(parsed)
-        if mode == "float":
-            return cls.from_float(rows)
-        raise MatrixError(f"matrix JSON mode must be 'exact' or 'float': {obj!r}")
-
-
-def load_matrix(path: str) -> SymMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return SymMatrix.from_json_obj(json.load(fh))
+        # "mode" is a required field of the signature report schema
+        rows = [
+            [f"{x.numerator}/{x.denominator}" for x in row] for row in self.entries
+        ]
+        return {"mode": "exact", "entries": rows}
 
 
 # -- exact route --------------------------------------------------------------
@@ -223,8 +151,6 @@ def _exact_invariants(m: SymMatrix) -> tuple[Fraction, Signature]:
     count is exact; rescaling by the positive common denominator leaves
     every eigenvalue sign unchanged.
     """
-    if m.mode != "exact":
-        raise MatrixError("exact inertia and determinant need an exact-mode matrix")
     if m.n == 0:
         return Fraction(1), Signature(0, 0, 0)
     scaled, lcm = _integer_scaled(m)
@@ -255,13 +181,10 @@ def det_exact(m: SymMatrix) -> Fraction:
 
 def det_bareiss(m: SymMatrix) -> Fraction:
     """Fraction-free Gaussian elimination determinant; cross-check oracle."""
-    if m.mode != "exact":
-        raise MatrixError("det_bareiss requires an exact-mode matrix")
     n = m.n
     if n == 0:
         return Fraction(1)
     a, lcm = _integer_scaled(m)
-    a = [row[:] for row in a]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -281,14 +204,10 @@ def det_bareiss(m: SymMatrix) -> Fraction:
 # -- floating route ------------------------------------------------------------
 
 
-def signature_of_array(arr, tol: float = FLOAT_TOL) -> Signature:
-    """Inertia of a float symmetric array; |eigenvalue| <= tol counts as zero.
-
-    The matrix is normalized to unit max-norm first, so `tol` is relative
-    to the largest entry.
-    """
-    if tol <= 0:
-        raise MatrixError("tol must be positive")
+def signature_of_array(arr) -> Signature:
+    """Inertia of a float symmetric array; |eigenvalue| <= FLOAT_TOL counts
+    as zero.  The matrix is normalized to unit max-norm first, so the
+    tolerance is relative to the largest entry."""
     arr = np.array(arr, dtype=float)
     n = arr.shape[0]
     if n == 0:
@@ -297,13 +216,9 @@ def signature_of_array(arr, tol: float = FLOAT_TOL) -> Signature:
     if top == 0.0:
         return Signature(0, n, 0)
     eig = np.linalg.eigvalsh(arr / top)
-    n_plus = int((eig > tol).sum())
-    n_minus = int((eig < -tol).sum())
+    n_plus = int((eig > FLOAT_TOL).sum())
+    n_minus = int((eig < -FLOAT_TOL).sum())
     return Signature(n_plus, n - n_plus - n_minus, n_minus)
-
-
-def signature_float(m: SymMatrix, tol: float = FLOAT_TOL) -> Signature:
-    return signature_of_array(m.to_float_array(), tol)
 
 
 # -- sign-pattern families -----------------------------------------------------
@@ -313,10 +228,6 @@ def cycle_pattern(n: int) -> frozenset:
     return frozenset(
         (min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)
     )
-
-
-def h7_pattern() -> frozenset:
-    return frozenset(H7_EDGES)
 
 
 def _sample_positive(rng: random.Random) -> Fraction:
@@ -330,7 +241,7 @@ def _pattern_sample(n: int, pairs, rng: random.Random) -> SymMatrix:
     rows = [[Fraction(0)] * n for _ in range(n)]
     for u, v in sorted(pairs):
         rows[u][v] = rows[v][u] = _sample_positive(rng)
-    return SymMatrix.exact(rows, pattern=pairs)
+    return SymMatrix(rows)
 
 
 def cycle_pattern_sample(n: int, rng: random.Random) -> SymMatrix:
@@ -342,7 +253,7 @@ def cycle_pattern_sample(n: int, rng: random.Random) -> SymMatrix:
 
 def h7_pattern_sample(rng: random.Random) -> SymMatrix:
     """Random 7x7 matrix positive exactly on the edges of H7."""
-    return _pattern_sample(7, h7_pattern(), rng)
+    return _pattern_sample(7, H7_PATTERN, rng)
 
 
 def cycle_eigenvalues(n: int) -> list[float]:
@@ -360,65 +271,75 @@ def expected_cycle_signature(n: int) -> tuple[int, int, int]:
     raise MatrixError("cycle signature formula applies to odd n only")
 
 
-def cycle_det_formula(m: SymMatrix, n: int) -> Fraction:
+def cycle_det_formula(m: SymMatrix) -> Fraction:
     """2 * product of the band entries a_{i,i+1} (indices mod n)."""
     prod = Fraction(1)
-    for i in range(n):
-        prod *= m.value(i, (i + 1) % n)
+    for i in range(m.n):
+        prod *= m.entries[i][(i + 1) % m.n]
     return 2 * prod
 
 
 def h7_det_formula(m: SymMatrix) -> Fraction:
     """Closed form of det for the H7 sign pattern (always negative)."""
-    a = m.value
+    a = m.entries
     return (
         -2
-        * a(0, 3)
-        * a(1, 4)
-        * a(2, 5)
+        * a[0][3]
+        * a[1][4]
+        * a[2][5]
         * (
-            a(0, 1) * a(2, 5) * a(3, 6) * a(4, 6)
-            + a(0, 2) * a(1, 4) * a(3, 6) * a(5, 6)
-            + a(0, 3) * a(1, 2) * a(4, 6) * a(5, 6)
+            a[0][1] * a[2][5] * a[3][6] * a[4][6]
+            + a[0][2] * a[1][4] * a[3][6] * a[5][6]
+            + a[0][3] * a[1][2] * a[4][6] * a[5][6]
         )
     )
 
 
-def _parse_kind(kind: str):
+class PatternKind(NamedTuple):
+    """One sign-pattern family, resolved from its kind name by `_parse_kind`:
+    the size, the positive pairs, the closed-form determinant with its
+    label and sign, and the signature every matrix of the family has."""
+
+    n: int
+    pairs: frozenset
+    det_formula: Callable[[SymMatrix], Fraction]
+    det_label: str
+    det_sign: int
+    signature: tuple[int, int, int]
+
+
+def _parse_kind(kind: str) -> PatternKind:
     if kind == "h7":
-        return "h7", 7
+        return PatternKind(
+            7, H7_PATTERN, h7_det_formula, "closed formula", -1, H7_SIGNATURE
+        )
     if kind.startswith("cycle(") and kind.endswith(")"):
-        return "cycle", int(kind[6:-1])
+        n = int(kind[6:-1])
+        return PatternKind(
+            n, cycle_pattern(n), cycle_det_formula, "band formula", 1,
+            expected_cycle_signature(n),
+        )
     raise MatrixError(f"unknown pattern kind {kind!r}; use 'cycle(N)' or 'h7'")
 
 
 def check_sample(m: SymMatrix, kind: str) -> list[str]:
     """All violations of the kind's pattern, determinant identity, and
     expected signature for one sample matrix; empty when clean."""
-    name, n = _parse_kind(kind)
+    spec = _parse_kind(kind)
     problems = []
-    pairs = cycle_pattern(n) if name == "cycle" else h7_pattern()
     try:
-        m.check_pattern(pairs)
+        m.check_pattern(spec.pairs)
     except PatternViolation as exc:
         problems.append(f"pattern: {exc}")
     det, sig = _exact_invariants(m)
-    if name == "cycle":
-        expected_det = cycle_det_formula(m, n)
-        if det != expected_det:
-            problems.append(f"determinant {det} != band formula {expected_det}")
-        if not det > 0:
-            problems.append(f"determinant {det} not positive")
-        expected_sig = expected_cycle_signature(n)
-    else:
-        expected_det = h7_det_formula(m)
-        if det != expected_det:
-            problems.append(f"determinant {det} != closed formula {expected_det}")
-        if not det < 0:
-            problems.append(f"determinant {det} not negative")
-        expected_sig = H7_SIGNATURE
-    if sig.as_tuple() != expected_sig:
-        problems.append(f"signature {sig.as_tuple()} != expected {expected_sig}")
+    expected_det = spec.det_formula(m)
+    if det != expected_det:
+        problems.append(f"determinant {det} != {spec.det_label} {expected_det}")
+    if not det * spec.det_sign > 0:
+        sign = "positive" if spec.det_sign > 0 else "negative"
+        problems.append(f"determinant {det} not {sign}")
+    if sig != spec.signature:
+        problems.append(f"signature {tuple(sig)} != expected {spec.signature}")
     return problems
 
 
@@ -436,15 +357,9 @@ class PatternLemmaReport:
         return not self.failures
 
     def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "trials": self.trials,
-            "seed": self.seed,
-            "expected_signature": list(self.expected_signature),
-            "method": self.method,
-            "passed": self.passed,
-            "failures": self.failures,
-        }
+        obj = asdict(self)
+        obj["expected_signature"] = list(self.expected_signature)
+        return {**obj, "passed": self.passed}
 
 
 def verify_pattern_lemma(
@@ -460,23 +375,19 @@ def verify_pattern_lemma(
     """
     if trials < 1:
         raise MatrixError("trials must be >= 1")
-    name, n = _parse_kind(kind)
-    expected = (
-        expected_cycle_signature(n) if name == "cycle" else H7_SIGNATURE
-    )
-    report = PatternLemmaReport(kind, trials, seed, expected)
+    spec = _parse_kind(kind)
+    report = PatternLemmaReport(kind, trials, seed, spec.signature)
     for trial in range(trials):
         rng = random.Random(f"{seed}:{kind}:{trial}")
-        m = (
-            cycle_pattern_sample(n, rng)
-            if name == "cycle"
-            else h7_pattern_sample(rng)
-        )
+        if kind == "h7":
+            m = h7_pattern_sample(rng)
+        else:
+            m = cycle_pattern_sample(spec.n, rng)
         if corrupt_slot is not None:
             rows = [list(r) for r in m.entries]
             u, v = corrupt_slot
             rows[u][v] = rows[v][u] = Fraction(0)
-            m = SymMatrix(m.n, "exact", rows)
+            m = SymMatrix(rows)
         problems = check_sample(m, kind)
         if problems:
             report.failures.append(

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, schemas, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -96,6 +97,20 @@ def test_search_bad_family_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "pattern",
+    [{"n": 3, "edges": 5}, {"n": 2.5, "edges": [[0, 1]]}],
+    ids=["edges-not-a-list", "n-not-integer"],
+)
+def test_search_malformed_pattern_exits_2(capsys, tmp_path, pattern):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps([{"pattern": pattern}]))
+    code, out, err = run_cli(
+        capsys, "search", "--family", str(path), "--n", "4", "--jobs", "1", "--quiet"
+    )
+    assert code == 2 and out == "" and "error" in err
+
+
 def test_search_cap_exits_3(capsys, tmp_path):
     out_path = tmp_path / "partial.json"
     code, _, err = run_cli(
@@ -183,6 +198,30 @@ def test_verify_signatures_selftest_corruption(capsys):
     report = json.loads(out)
     assert not report["passed"]
     assert "counterexample" in err
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, digest",
+    [
+        (
+            ["--trials", "40", "--seed", "3"],
+            0,
+            "311eeea9475b62fdecbbd4699f0833266675e8f5230646082a5243fd4658d60e",
+        ),
+        (
+            ["--trials", "3", "--seed", "1", "--selftest-corrupt"],
+            1,
+            "04fbab5511ba0eb074aad69187f58d8ac8304703952c4d71ca994f04247c19de",
+        ),
+    ],
+    ids=["clean", "selftest-corrupt"],
+)
+def test_verify_signatures_report_bytes(capsys, tmp_path, argv, exit_code, digest):
+    # sha256 of the --out file; any change to the report bytes shows here
+    out_path = tmp_path / "sig.json"
+    code, _, _ = run_cli(capsys, "verify-signatures", *argv, "--out", str(out_path))
+    assert code == exit_code
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 def test_verify_signatures_rejects_bad_trials(capsys):
@@ -290,6 +329,25 @@ def test_check_lines_rejects_bad_tolerance(capsys, tmp_path):
     report = json.loads(out)
     jsonschema.validate(report, schema("line_report.schema.json"))
     assert report["config"]["tolerance"] == 1e-6
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"dim": 3, "lines": 5},
+        {"dim": 3, "lines": [], "tolerance": None},
+        {"dim": 1, "lines": []},
+        {"dim": 3.7, "lines": []},
+    ],
+    ids=["lines-not-a-list", "tolerance-null", "dim-1", "dim-not-integer"],
+)
+def test_check_lines_rejects_malformed_config(capsys, monkeypatch, config):
+    import io
+
+    for extra in ([], ["--distances-only"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
+        code, out, err = run_cli(capsys, "check-lines", "-", *extra)
+        assert code == 2 and out == "" and "error" in err
 
 
 def test_check_lines_parse_error(capsys, tmp_path):

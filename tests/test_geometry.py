@@ -358,3 +358,9 @@ def test_config_validation():
         LineConfig.from_json_obj({"dim": 3})
     with pytest.raises(GeometryError):
         DirectedLine.from_json_obj({"base": [0, 0, 0]})
+    for line in (
+        {"base": {"x": 0}, "dir": [1, 0, 0]},
+        {"base": [0, 0, 0], "dir": [True, False, False]},
+    ):
+        with pytest.raises(GeometryError):
+            DirectedLine.from_json_obj(line)

@@ -108,6 +108,15 @@ def test_json_rejects_malformed():
         Graph.from_json_obj({"edges": []})
     with pytest.raises(GraphError):
         Graph.from_json_obj({"n": 2, "edges": [[0, 2]]})
+    for obj in (
+        {"n": 2.5, "edges": [[0, 1]]},
+        {"n": True, "edges": []},
+        {"n": 3, "edges": 5},
+        {"n": 3, "edges": [[0, "a"]]},
+        {"n": 3, "edges": [[0, 1, 2]]},
+    ):
+        with pytest.raises(GraphError):
+            Graph.from_json_obj(obj)
 
 
 # -- elementary operations ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Level-by-level search: counts, oracles, determinism, and reporting."""
 
 import pytest
+from conftest import feasible_levels
 
 from champagne.forbidden import ForbiddenFamily, default_family, ramsey_family
 from champagne.graphs import Graph, canonical_form, complement
@@ -83,14 +84,12 @@ def test_monotone_emptiness():
 
 
 def test_levels_match_direct_enumeration_small():
-    rep = run_search(FAM, 6, SearchOptions(keep_levels=True))
-    for level in rep.feasible_levels:
+    for level in feasible_levels(FAM, 6):
         assert tuple(level.codes()) == brute_force_level_codes(FAM, level.k)
 
 
 def test_levels_are_sound_and_complement_closed():
-    rep = run_search(FAM, 8, SearchOptions(keep_levels=True))
-    for level in rep.feasible_levels:
+    for level in feasible_levels(FAM, 8):
         level.validate(FAM)
         codes = set(level.codes())
         for g in level.graphs:
@@ -194,12 +193,14 @@ def test_search_with_single_both_scope_pattern():
     # only K3 forbidden in both colors: level 6 must die (R(3,3) = 6),
     # and the 5-cycle is the lone survivor at 5 vertices
     fam = ForbiddenFamily([(Graph.complete(3), "both")])
-    rep = run_search(fam, 9, SearchOptions(keep_levels=True))
+    rep = run_search(fam, 9)
     assert rep.verdict == {"kind": "empty-at-k", "k": 6}
     assert [l["count"] for l in rep.levels] == [1, 2, 2, 3, 1, 0]
-    for level in rep.feasible_levels[:5]:
+    levels = feasible_levels(fam, 9)
+    assert [level.count for level in levels] == [1, 2, 2, 3, 1, 0]
+    for level in levels[:5]:
         assert tuple(level.codes()) == brute_force_level_codes(fam, level.k)
     from champagne import catalog
 
-    lone = rep.feasible_levels[4].graphs[0]
+    lone = levels[4].graphs[0]
     assert canonical_form(catalog.cycle_graph(5)).code == lone.bits

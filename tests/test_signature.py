@@ -23,7 +23,6 @@ from champagne.signature import (
     h7_det_formula,
     h7_pattern_sample,
     signature_exact,
-    signature_float,
     signature_of_array,
     verify_pattern_lemma,
 )
@@ -44,39 +43,37 @@ def test_charpoly_known_values():
     assert charpoly_int([[1, 0], [0, 1]]) == [1, -2, 1]
 
 
+def as_array(m: SymMatrix) -> np.ndarray:
+    return np.array(m.entries, dtype=float)
+
+
 def test_signature_exact_examples():
-    assert signature_exact(SymMatrix.exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).as_tuple() == (3, 0, 0)
-    assert signature_exact(SymMatrix.adjacency(catalog.get("C5"))).as_tuple() == (3, 0, 2)
-    assert signature_exact(SymMatrix.adjacency(catalog.get("H7"))).as_tuple() == (4, 0, 3)
-    assert signature_exact(SymMatrix.exact([[0] * 4 for _ in range(4)])).as_tuple() == (0, 4, 0)
+    assert signature_exact(SymMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == (3, 0, 0)
+    assert signature_exact(SymMatrix.adjacency(catalog.get("C5"))) == (3, 0, 2)
+    assert signature_exact(SymMatrix.adjacency(catalog.get("H7"))) == (4, 0, 3)
+    assert signature_exact(SymMatrix([[0] * 4 for _ in range(4)])) == (0, 4, 0)
 
 
 def test_signature_float_examples():
-    assert signature_float(SymMatrix.adjacency(catalog.get("C7"), mode="float")).as_tuple() == (3, 0, 4)
-    assert signature_of_array(np.zeros((5, 5))).as_tuple() == (0, 5, 0)
-    assert signature_of_array(np.diag([1.0, -1.0])).as_tuple() == (1, 0, 1)
-
-
-def test_signature_float_requires_positive_tol():
-    with pytest.raises(MatrixError):
-        signature_of_array(np.eye(2), tol=0)
+    c7 = as_array(SymMatrix.adjacency(catalog.get("C7")))
+    assert signature_of_array(c7) == (3, 0, 4)
+    assert signature_of_array(np.zeros((5, 5))) == (0, 5, 0)
+    assert signature_of_array(np.diag([1.0, -1.0])) == (1, 0, 1)
 
 
 def test_exact_and_float_signatures_agree(rng):
     for _ in range(1000):
         n = rng.randint(1, 10)
         rows = symmetric_int_matrix(rng, n)
-        exact = signature_exact(SymMatrix.exact(rows)).as_tuple()
-        woolly = signature_float(
-            SymMatrix.from_float([[float(x) for x in r] for r in rows])
-        ).as_tuple()
+        exact = signature_exact(SymMatrix(rows))
+        woolly = signature_of_array(np.array(rows, dtype=float))
         assert exact == woolly
 
 
 def test_signature_invariant_under_congruence(rng):
     for _ in range(300):
         n = rng.randint(1, 7)
-        m = SymMatrix.exact(symmetric_int_matrix(rng, n, -4, 4))
+        m = SymMatrix(symmetric_int_matrix(rng, n, -4, 4))
         p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         for _ in range(2 * n):
             i, j = rng.randrange(n), rng.randrange(n)
@@ -86,7 +83,7 @@ def test_signature_invariant_under_congruence(rng):
                     p[i][col] += factor * p[j][col]
         mp = [[sum(m.entries[i][k] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         ptmp = [[sum(p[k][i] * mp[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        assert signature_exact(SymMatrix.exact(ptmp)).as_tuple() == signature_exact(m).as_tuple()
+        assert signature_exact(SymMatrix(ptmp)) == signature_exact(m)
 
 
 def test_det_charpoly_equals_bareiss(rng):
@@ -99,15 +96,15 @@ def test_det_charpoly_equals_bareiss(rng):
         for i in range(n):
             for j in range(i):
                 rows[j][i] = rows[i][j]
-        m = SymMatrix.exact(rows)
+        m = SymMatrix(rows)
         assert det_exact(m) == det_bareiss(m)
 
 
 def test_det_of_singular_matrix():
-    m = SymMatrix.exact([[1, 1], [1, 1]])
+    m = SymMatrix([[1, 1], [1, 1]])
     assert det_exact(m) == 0
     assert det_bareiss(m) == 0
-    assert signature_exact(m).as_tuple() == (1, 1, 0)
+    assert signature_exact(m) == (1, 1, 0)
 
 
 # -- floating route ------------------------------------------------------------
@@ -116,7 +113,7 @@ def test_det_of_singular_matrix():
 def test_cycle_eigenvalues_closed_form():
     assert sorted(cycle_eigenvalues(3)) == pytest.approx([-1.0, -1.0, 2.0])
     for n in (3, 5, 7, 9):
-        adj = SymMatrix.adjacency(catalog.cycle_graph(n)).to_float_array()
+        adj = as_array(SymMatrix.adjacency(catalog.cycle_graph(n)))
         assert np.allclose(
             cycle_eigenvalues(n), np.linalg.eigvalsh(adj), atol=1e-12
         )
@@ -129,11 +126,11 @@ def test_cycle_eigenvalues_closed_form():
 
 
 def test_all_ones_cycle_sample_is_adjacency():
-    m = SymMatrix.exact(
+    m = SymMatrix(
         [[1 if (i - j) % 5 in (1, 4) else 0 for j in range(5)] for i in range(5)]
     )
     assert m.entries == SymMatrix.adjacency(catalog.get("C5")).entries
-    assert cycle_det_formula(m, 5) == 2
+    assert cycle_det_formula(m) == 2
     assert det_exact(m) == 2
 
 
@@ -147,15 +144,15 @@ def test_cycle_pattern_sample_structure(rng):
     m = cycle_pattern_sample(9, rng)
     for i in range(9):
         for j in range(9):
-            v = m.value(i, j)
+            v = m.entries[i][j]
             if (i - j) % 9 in (1, 8):
                 assert v > 0
                 assert Fraction(1, 10) < v < 10
                 assert v.denominator <= 1 << 16
             else:
                 assert v == 0
-    assert signature_exact(m).as_tuple() == (5, 0, 4)
-    assert det_exact(m) == cycle_det_formula(m, 9) > 0
+    assert signature_exact(m) == (5, 0, 4)
+    assert det_exact(m) == cycle_det_formula(m) > 0
 
 
 def test_cycle_pattern_sample_rejects_bad_n(rng):
@@ -169,9 +166,9 @@ def test_h7_pattern_sample_structure(rng):
     edges = {tuple(sorted(e)) for e in catalog.H7.edges()}
     for i in range(7):
         for j in range(i):
-            assert (m.value(i, j) > 0) == ((j, i) in edges)
+            assert (m.entries[i][j] > 0) == ((j, i) in edges)
     assert det_exact(m) == h7_det_formula(m) < 0
-    assert signature_exact(m).as_tuple() == (4, 0, 3)
+    assert signature_exact(m) == (4, 0, 3)
 
 
 def test_expected_cycle_signature_formula():
@@ -246,22 +243,18 @@ def test_check_sample_takes_one_characteristic_polynomial(rng, monkeypatch):
 
 def test_symmetry_is_validated():
     with pytest.raises(MatrixError):
-        SymMatrix.exact([[0, 1], [2, 0]])
+        SymMatrix([[0, 1], [2, 0]])
     with pytest.raises(MatrixError):
-        SymMatrix.from_float([[0, 1], [2, 0]])
-    with pytest.raises(MatrixError):
-        SymMatrix.exact([[0, 1]])
-    with pytest.raises(MatrixError):
-        SymMatrix(2, "interval", [[0, 1], [1, 0]])
+        SymMatrix([[0, 1]])
 
 
-def test_pattern_validation_on_construction():
+def test_check_pattern():
     pattern = {(0, 1)}
-    SymMatrix.exact([[0, 2], [2, 0]], pattern=pattern)
+    SymMatrix([[0, 2], [2, 0]]).check_pattern(pattern)
     with pytest.raises(PatternViolation):
-        SymMatrix.exact([[0, 0], [0, 0]], pattern=pattern)
+        SymMatrix([[0, 0], [0, 0]]).check_pattern(pattern)
     with pytest.raises(PatternViolation):
-        SymMatrix.exact([[1, 2], [2, 0]], pattern=pattern)
+        SymMatrix([[1, 2], [2, 0]]).check_pattern(pattern)
 
 
 def test_matrix_json_round_trip(rng):
@@ -269,22 +262,6 @@ def test_matrix_json_round_trip(rng):
     obj = m.to_json_obj()
     assert obj["mode"] == "exact"
     assert all("/" in cell for row in obj["entries"] for cell in row)
-    again = SymMatrix.from_json_obj(json.loads(json.dumps(obj)))
+    rows = json.loads(json.dumps(obj))["entries"]
+    again = SymMatrix([[Fraction(cell) for cell in row] for row in rows])
     assert again.entries == m.entries
-
-    f = SymMatrix.from_float([[0.0, 1.5], [1.5, 2.0]])
-    again = SymMatrix.from_json_obj(f.to_json_obj())
-    assert np.array_equal(again.entries, f.entries)
-
-    with pytest.raises(MatrixError):
-        SymMatrix.from_json_obj({"mode": "mystery", "entries": [[0]]})
-
-
-def test_mode_mismatch_errors():
-    f = SymMatrix.from_float([[1.0]])
-    with pytest.raises(MatrixError):
-        signature_exact(f)
-    with pytest.raises(MatrixError):
-        det_exact(f)
-    e = SymMatrix.exact([[1]])
-    assert signature_float(e).as_tuple() == (1, 0, 0)
