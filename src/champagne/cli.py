@@ -2,7 +2,7 @@
 
 Subcommands: search, verify-signatures, check-lines, gen-lower-bound,
 catalog.  All machine-readable output is UTF-8 JSON on stdout (or --out);
-progress and diagnostics go to stderr.  RAMSEY_JOBS overrides --jobs.
+progress and diagnostics go to stderr.
 
 Exit codes: 0 success / run complete, 1 verification failure or invalid
 input configuration, 2 unusable input (parse errors, bad arguments),
@@ -58,19 +58,10 @@ def _write(text: str, out: str | None) -> None:
         print(text)
 
 
-def _effective_jobs(args) -> int:
-    env = os.environ.get("RAMSEY_JOBS")
-    if env is not None:
-        return int(env)
-    if args.jobs is not None:
-        return args.jobs
-    return os.cpu_count() or 1
-
-
 def cmd_search(args) -> int:
     try:
         opts = SearchOptions(
-            jobs=_effective_jobs(args),
+            jobs=args.jobs,
             cap=args.cap,
             witness_path=args.witnesses,
             collect_witnesses=args.embed_witnesses,
@@ -156,12 +147,15 @@ def cmd_check_lines(args) -> int:
         cfg = geometry.load_config(sys.stdin if args.config == "-" else args.config)
         if args.tol is not None:
             cfg = geometry.LineConfig(cfg.dim, cfg.lines, args.tol)
+        if args.distances_only:
+            report = geometry.config_report(cfg)
+        elif cfg.dim == 3:
+            graph, report = geometry.chirality_graph(cfg)
     except (geometry.GeometryError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.distances_only:
-        report = geometry.config_report(cfg)
         _emit(
             {
                 "mode": "distances-only",
@@ -171,12 +165,12 @@ def cmd_check_lines(args) -> int:
             args.out,
         )
         return 0 if report.distances_ok else 1
-
-    try:
-        graph, report = geometry.chirality_graph(cfg)
-    except geometry.GeometryError as exc:
+    if cfg.dim != 3:
         # chirality is undefined outside R^3; distance checks still apply
-        print(f"error: {exc} (try --distances-only)", file=sys.stderr)
+        print(
+            "error: chirality graphs are defined only in R^3 (try --distances-only)",
+            file=sys.stderr,
+        )
         return 1
     result = {
         "mode": "full",
@@ -246,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="default",
                    help="'default', 'r34', or a family JSON path")
     p.add_argument("--n", type=int, default=10, help="largest vertex count")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: all cores; RAMSEY_JOBS overrides)")
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="worker processes (default: all cores)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_SURVIVOR_CAP,
                    help="per-level survivor cap")

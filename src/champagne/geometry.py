@@ -184,17 +184,24 @@ def _pair_row(y, x, ys, xs):
     volumes <x cross xs[i], y - ys[i]> (None elsewhere).  The distance is
     the norm of the base offset after removing its components along x and
     along the unit part w of xs[i] orthogonal to x; for a parallel pair w
-    is dropped, which leaves the point-to-line distance.
+    is dropped, which leaves the point-to-line distance.  Raises
+    GeometryError when a distance or volume overflows float64.
     """
-    dy = y - ys
-    w = xs - np.outer(xs @ x, x)
-    sine = np.linalg.norm(w, axis=1)
-    parallel = sine <= PARALLEL_TOL
-    w[parallel] = 0.0
-    w /= np.where(parallel, 1.0, sine)[:, None]
-    residue = dy - np.outer(dy @ x, x) - (dy * w).sum(axis=1)[:, None] * w
-    volume = (np.cross(x, xs) * dy).sum(axis=1) if x.size == 3 else None
-    return np.linalg.norm(residue, axis=1), parallel, volume
+    with np.errstate(over="ignore", invalid="ignore"):
+        dy = y - ys
+        w = xs - np.outer(xs @ x, x)
+        sine = np.linalg.norm(w, axis=1)
+        parallel = sine <= PARALLEL_TOL
+        w[parallel] = 0.0
+        w /= np.where(parallel, 1.0, sine)[:, None]
+        residue = dy - np.outer(dy @ x, x) - (dy * w).sum(axis=1)[:, None] * w
+        volume = (np.cross(x, xs) * dy).sum(axis=1) if x.size == 3 else None
+        distance = np.linalg.norm(residue, axis=1)
+    if not np.isfinite(distance).all() or (
+        volume is not None and not np.isfinite(volume).all()
+    ):
+        raise GeometryError("a pair distance or volume is not finite in float64")
+    return distance, parallel, volume
 
 
 def _pair(a: DirectedLine, b: DirectedLine):

@@ -274,28 +274,6 @@ def _lex_to_bits(lex: int, n: int) -> int:
     return bits
 
 
-def _degree_partition(rows):
-    """Vertices grouped by iteratively refined degree signatures.
-
-    Starts from plain degrees and re-splits by multisets of neighbor
-    signatures until stable.  Label-invariant; used to order the
-    backtracking so a near-minimal labeling is found early.
-    """
-    n = len(rows)
-    sig = [r.bit_count() for r in rows]
-    for _ in range(n):
-        fresh = [
-            (sig[v], tuple(sorted(sig[u] for u in range(n) if rows[v] >> u & 1)))
-            for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(fresh)))}
-        new_sig = [rank[fresh[v]] for v in range(n)]
-        if new_sig == sig:
-            break
-        sig = new_sig
-    return sorted(range(n), key=lambda v: (sig[v], v))
-
-
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form: the relabeling with lexicographically minimal slot
     sequence, i.e. the minimum of `_lex_value` over all n! orders.
@@ -304,20 +282,17 @@ def canonical_form(g: Graph) -> CanonicalForm:
     block of slots is the adjacency column of position j against them, so
     only vertices whose column is minimal can extend an optimal labeling.
     Branches whose decided slot prefix exceeds the best complete labeling
-    are pruned.  A degree-refined vertex order seeds a good incumbent fast.
+    are pruned; the first complete labeling is the first incumbent.  Among
+    tied candidates, low-degree vertices are tried first.
     """
     n = g.n
-    if n <= 1:
-        return CanonicalForm(0, tuple(range(n)))
-    full = (1 << pair_count(n)) - 1
-    if g.bits == 0 or g.bits == full:
+    m = pair_count(n)
+    if g.bits == 0 or g.bits == (1 << m) - 1:
         return CanonicalForm(g.bits, tuple(range(n)))
 
     rows = g.rows()
-    m = pair_count(n)
-    order0 = _degree_partition(rows)
-    best_lex = _lex_value(rows, order0)
-    best_order = order0
+    best_lex = 1 << m  # above every m-slot sequence
+    best_order = None
 
     # search stack entry: (order, chunks) where chunks[v] is the adjacency
     # column of unused vertex v against the current order, MSB = position 0
@@ -348,7 +323,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
             walk(order, child, partial, done_bits)
             order.pop()
 
-    walk([], {v: 0 for v in order0}, 0, 0)
+    by_degree = sorted(range(n), key=lambda v: rows[v].bit_count())
+    walk([], dict.fromkeys(by_degree, 0), 0, 0)
 
     witness = [0] * n
     for pos, v in enumerate(best_order):

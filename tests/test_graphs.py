@@ -293,6 +293,20 @@ def test_vertex_transitive_graphs_canonicalize():
     assert canonical_form(permute(paley9, (4, 2, 8, 0, 6, 1, 5, 3, 7))).code == cf.code
     for g in [catalog.cycle_graph(7), catalog.complete_bipartite(3, 2)]:
         assert canonical_form(g).code == canonical_form_bruteforce(g).code
+    # non-regular graphs with many ties, where the vertex order matters and
+    # random bits rarely reach; each relabeled so the input order is not sorted
+    c7_plus_k1 = Graph.from_edges(8, catalog.cycle_graph(7).edges())
+    scramble = (5, 2, 7, 0, 3, 6, 1, 4)
+    for g in [
+        catalog.complete_bipartite(1, 7),
+        catalog.complete_bipartite(2, 6),
+        catalog.complete_bipartite(3, 5),
+        c7_plus_k1,
+    ]:
+        h = permute(g, scramble)
+        cf = canonical_form(h)
+        assert cf.code == canonical_form_bruteforce(h).code
+        assert permute(h, cf.witness).bits == cf.code
 
 
 def test_canonical_codes_partition_all_graphs_on_4_vertices():

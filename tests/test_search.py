@@ -1,5 +1,7 @@
 """Level-by-level search: counts, oracles, determinism, and reporting."""
 
+import hashlib
+
 import pytest
 from conftest import feasible_levels
 
@@ -103,6 +105,23 @@ def test_deterministic_across_worker_counts():
     ]
     baseline = reports[0].to_json(with_timing=False)
     assert all(r.to_json(with_timing=False) == baseline for r in reports[1:])
+
+
+@pytest.mark.parametrize(
+    "fam, n, digest",
+    [
+        (FAM, 10, "831e1c63989e0c96d8305e053e17f4e5e68e8e7330a8c1e007905874ed57d22a"),
+        (R34, 9, "744099b8d021f91e632b98a405dc4280f8597dcf6e65a415df206494b096ef5a"),
+    ],
+    ids=["default-10", "r34-9"],
+)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_report_bytes_pin_canonical_codes(fam, n, digest, jobs):
+    # the brute-force oracle stops at n <= 8; these digests pin every
+    # canonical code and witness of the full searches beyond it
+    report = run_search(fam, n, SearchOptions(jobs=jobs, collect_witnesses=True))
+    text = report.to_json(with_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_witness_file_and_embedding(tmp_path):
