@@ -12,15 +12,7 @@ adjacent to 2 and 5; H7 is a triangle 1,2,3 with pendant edges 1-4, 2-5,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Graph, complement
-
-
-@dataclass(frozen=True)
-class NamedGraph:
-    name: str
-    graph: Graph
 
 
 def cycle_graph(n: int) -> Graph:
@@ -94,6 +86,3 @@ def get(name: str) -> Graph:
             f"unknown catalog graph {name!r}; available: {', '.join(CATALOG)}"
         ) from None
 
-
-def named_graphs() -> list[NamedGraph]:
-    return [NamedGraph(name, g) for name, g in CATALOG.items()]

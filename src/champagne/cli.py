@@ -5,8 +5,8 @@ catalog.  All machine-readable output is UTF-8 JSON on stdout (or --out);
 progress and diagnostics go to stderr.
 
 Exit codes: 0 success / run complete, 1 verification failure or invalid
-input configuration, 2 unusable input (parse errors, bad arguments),
-3 survivor cap exceeded.
+input configuration, 2 unusable input (parse errors, bad arguments) or an
+--out path that cannot be written, 3 survivor cap exceeded.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from importlib import resources
 
 from . import catalog, geometry, signature
-from .forbidden import FamilyError, family_from_json, load_family
+from .forbidden import FamilyError, default_family, load_family, ramsey_family
 from .graphs import GraphError, canonical_form
 from .search import (
     DEFAULT_SURVIVOR_CAP,
@@ -27,12 +27,8 @@ from .search import (
     run_search,
 )
 
-FAMILY_ALIASES = {"default": "default_family.json", "r34": "r34_family.json"}
+FAMILY_ALIASES = {"default": default_family, "r34": lambda: ramsey_family(3, 4)}
 LEMMA_KINDS = ("cycle(5)", "cycle(7)", "cycle(9)", "h7")
-
-
-def _data_text(name: str) -> str:
-    return resources.files("champagne").joinpath("data", name).read_text("utf-8")
 
 
 def bundled_path(name: str) -> str:
@@ -42,7 +38,7 @@ def bundled_path(name: str) -> str:
 
 def _resolve_family(spec: str):
     if spec in FAMILY_ALIASES:
-        return family_from_json(json.loads(_data_text(FAMILY_ALIASES[spec])))
+        return FAMILY_ALIASES[spec]()
     return load_family(spec)
 
 
@@ -214,11 +210,10 @@ def cmd_gen_lower_bound(args) -> int:
 
 def cmd_catalog(args) -> int:
     lines = []
-    for entry in catalog.named_graphs():
-        g = entry.graph
+    for name, g in catalog.CATALOG.items():
         edges = ",".join(f"{u + 1}{v + 1}" for u, v in sorted(g.edges()))
         lines.append(
-            f"{entry.name:6s} n={g.n} edges={{{edges}}} "
+            f"{name:6s} n={g.n} edges={{{edges}}} "
             f"graph6={g.to_graph6()} canonical={canonical_form(g).code}"
         )
     _write("\n".join(lines), args.out)
@@ -287,7 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

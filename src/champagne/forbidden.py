@@ -19,13 +19,12 @@ from __future__ import annotations
 import itertools
 import json
 from functools import lru_cache
+from importlib import resources
 
 from . import catalog
 from .graphs import Graph, complement, induced_code, pair_count, permute
 
 SCOPES = ("both", "red", "blue")
-
-DEFAULT_PATTERN_NAMES = ("K4", "K3,2", "K6-C5", "K6-H6", "K7-H7")
 
 
 class FamilyError(ValueError):
@@ -88,11 +87,10 @@ class ForbiddenFamily:
 
 
 def default_family() -> ForbiddenFamily:
-    """The five-pattern family, each forbidden in both colors."""
-    return ForbiddenFamily(
-        [(catalog.get(name), "both") for name in DEFAULT_PATTERN_NAMES],
-        names=DEFAULT_PATTERN_NAMES,
-    )
+    """The five-pattern family, each forbidden in both colors, as bundled
+    in data/default_family.json."""
+    data = resources.files("champagne").joinpath("data", "default_family.json")
+    return family_from_json(json.loads(data.read_text("utf-8")))
 
 
 def ramsey_family(r: int, b: int) -> ForbiddenFamily:
@@ -128,19 +126,6 @@ def family_from_json(obj) -> ForbiddenFamily:
 def load_family(path: str) -> ForbiddenFamily:
     with open(path, encoding="utf-8") as fh:
         return family_from_json(json.load(fh))
-
-
-def contains_induced(g: Graph, pattern: Graph) -> bool:
-    """Does g contain an induced subgraph isomorphic to `pattern`?"""
-    m = pattern.n
-    if m > g.n:
-        return False
-    codes = labeled_copies(pattern)
-    rows = g.rows()
-    return any(
-        induced_code(rows, subset) in codes
-        for subset in itertools.combinations(range(g.n), m)
-    )
 
 
 def is_forbidden(g: Graph, fam: ForbiddenFamily) -> bool:

@@ -14,7 +14,7 @@ where the chirality is +1, and a symmetric matrix a_vw =
 negative eigenvalues, |a| of signature (1, n-1)) are checked numerically
 here.  The matrix is a Gram matrix of the 6-vectors (y_v cross x_v, x_v)
 under the split form of signature (3,3), which is where the eigenvalue
-bound comes from; the factors are exposed so that identity can be tested.
+bound comes from.  Every pair quantity comes from one kernel, `_pair_row`.
 """
 
 from __future__ import annotations
@@ -164,19 +164,6 @@ def load_config(path_or_stream) -> LineConfig:
         return LineConfig.from_json_obj(json.load(fh))
 
 
-def rigid_transform(cfg: LineConfig, matrix, shift=None) -> LineConfig:
-    """Apply an orthogonal map plus translation to every line."""
-    matrix = np.asarray(matrix, dtype=float)
-    if not np.allclose(matrix.T @ matrix, np.eye(cfg.dim), atol=1e-12):
-        raise GeometryError("transform matrix is not orthogonal")
-    shift = np.zeros(cfg.dim) if shift is None else np.asarray(shift, dtype=float)
-    lines = tuple(
-        DirectedLine.through(matrix @ ln.base + shift, matrix @ ln.direction)
-        for ln in cfg.lines
-    )
-    return LineConfig(cfg.dim, lines, cfg.tolerance)
-
-
 def _pair_row(y, x, ys, xs):
     """Line (y, x) against every line (ys[i], xs[i]) at once.
 
@@ -217,20 +204,6 @@ def are_parallel(a: DirectedLine, b: DirectedLine) -> bool:
 def line_distance(a: DirectedLine, b: DirectedLine) -> float:
     """Minimal distance between the two lines, any dimension."""
     return float(_pair(a, b)[0][0])
-
-
-def chirality(a: DirectedLine, b: DirectedLine) -> int:
-    """Orientation sign of two non-coplanar directed lines in R^3."""
-    if a.dim != 3 or b.dim != 3:
-        raise GeometryError("chirality is defined only in R^3")
-    _, parallel, volume = _pair(a, b)
-    if parallel[0]:
-        raise DegeneratePairError("parallel lines have no chirality")
-    if abs(volume[0]) <= DEGENERATE_TOL:
-        raise DegeneratePairError(
-            "coplanar (intersecting) lines have no chirality"
-        )
-    return 1 if volume[0] > 0 else -1
 
 
 def _pairs(cfg: LineConfig):
@@ -327,44 +300,23 @@ def chirality_graph(cfg: LineConfig) -> tuple[Graph, ConfigReport]:
     return Graph.from_edges(len(cfg), edges), report
 
 
-@dataclass
-class TMatrix:
-    """The pairwise orientation matrix a_vw = <x_v cross x_w, y_v - y_w>
-    together with its Gram factors (y_v cross x_v, x_v) in R^6."""
-
-    matrix: np.ndarray
-    factors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def gram_residual(self) -> float:
-        """Max deviation of a_vw from the split-form Gram product."""
-        q, x = self.factors[:, :3], self.factors[:, 3:]
-        gram = q @ x.T + x @ q.T
-        return float(np.abs(self.matrix - gram).max())
-
-
-def _t_matrix(cfg: LineConfig, parallel: np.ndarray, volume: np.ndarray) -> TMatrix:
+def _orientation_matrix(parallel: np.ndarray, volume: np.ndarray) -> np.ndarray:
+    """The signed volumes as the orientation matrix, refused for a parallel pair."""
     found = np.argwhere(np.triu(parallel))
     if len(found):
         v, w = found[0]
         raise DegeneratePairError(
             f"lines {v} and {w} are parallel; orientation matrix undefined"
         )
-    factors = np.zeros((len(cfg), 6))
-    for v, line in enumerate(cfg.lines):
-        factors[v, :3] = np.cross(line.base, line.direction)
-        factors[v, 3:] = line.direction
-    return TMatrix(volume, factors)
+    return volume
 
 
-def t_matrix(cfg: LineConfig) -> TMatrix:
+def t_matrix(cfg: LineConfig) -> np.ndarray:
+    """The pairwise orientation matrix a_vw = <x_v cross x_w, y_v - y_w>."""
     if cfg.dim != 3:
         raise GeometryError("the orientation matrix is defined only in R^3")
     _, parallel, volume = _pairs(cfg)
-    return _t_matrix(cfg, parallel, volume)
+    return _orientation_matrix(parallel, volume)
 
 
 @dataclass
@@ -405,10 +357,10 @@ def check_realization(cfg: LineConfig) -> RealizationReport:
             f"lines {v} and {w} at distance {distance[v, w]}, "
             f"not 1 within {cfg.tolerance}"
         )
-    tmat = _t_matrix(cfg, parallel, volume)
+    matrix = _orientation_matrix(parallel, volume)
     report = RealizationReport(n, float(deviation.max()))
 
-    offdiag = np.abs(tmat.matrix[~np.eye(n, dtype=bool)])
+    offdiag = np.abs(matrix[~np.eye(n, dtype=bool)])
     margin = float(offdiag.min()) if offdiag.size else math.inf
     report.properties["offdiagonal_nonzero"] = {
         "passed": bool(margin > DEGENERATE_TOL),
@@ -416,20 +368,20 @@ def check_realization(cfg: LineConfig) -> RealizationReport:
     }
 
     # a positive entry within the coplanarity tolerance carries no edge
-    edgeless = (tmat.matrix > 0) & (tmat.matrix <= DEGENERATE_TOL)
+    edgeless = (matrix > 0) & (matrix <= DEGENERATE_TOL)
     mismatches = np.argwhere(np.triu(edgeless))
     report.properties["sign_pattern_matches_chirality"] = {
         "passed": not len(mismatches),
         "mismatched_pairs": [(int(v), int(w)) for v, w in mismatches],
     }
 
-    sig_t = signature_of_array(tmat.matrix)
+    sig_t = signature_of_array(matrix)
     report.properties["at_most_3_negative_eigenvalues"] = {
         "passed": sig_t.n_minus <= 3,
         "signature": list(sig_t),
     }
 
-    sig_abs = signature_of_array(np.abs(tmat.matrix))
+    sig_abs = signature_of_array(np.abs(matrix))
     report.properties["abs_matrix_signature"] = {
         "passed": sig_abs == (1, 0, n - 1),
         "signature": list(sig_abs),

@@ -244,23 +244,6 @@ class CanonicalForm:
     witness: tuple[int, ...]
 
 
-def _lex_value(rows, order):
-    """Slot sequence of the relabeling `order`, packed first-slot-highest.
-
-    Packing the first slot into the most significant bit makes integer
-    comparison agree with lexicographic comparison of the slot sequence,
-    which is what the backtracking search minimizes and prunes on.
-    """
-    value = 0
-    for j in range(1, len(order)):
-        rj = rows[order[j]]
-        chunk = 0
-        for i in range(j):
-            chunk = chunk << 1 | (rj >> order[i] & 1)
-        value = value << j | chunk
-    return value
-
-
 def _lex_to_bits(lex: int, n: int) -> int:
     bits = 0
     m = pair_count(n)
@@ -276,21 +259,31 @@ def _lex_to_bits(lex: int, n: int) -> int:
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form: the relabeling with lexicographically minimal slot
-    sequence, i.e. the minimum of `_lex_value` over all n! orders.
+    sequence, taken over all n! orders.
 
+    An order's slot sequence is packed into an integer first slot highest,
+    so integer comparison agrees with lexicographic comparison.
     Backtracking over positions: once positions 0..j-1 are fixed, the next
     block of slots is the adjacency column of position j against them, so
     only vertices whose column is minimal can extend an optimal labeling.
     Branches whose decided slot prefix exceeds the best complete labeling
     are pruned; the first complete labeling is the first incumbent.  Among
     tied candidates, low-degree vertices are tried first.
+
+    Twins (u, v with the same neighbors outside {u, v}) are placed in label
+    order: swapping two twins is an automorphism, so this keeps the lex
+    minimum, and twins always tie, so the earlier twin is always a
+    candidate when the later one is skipped.
     """
     n = g.n
     m = pair_count(n)
-    if g.bits == 0 or g.bits == (1 << m) - 1:
-        return CanonicalForm(g.bits, tuple(range(n)))
-
     rows = g.rows()
+    prev = [-1] * n  # the previous twin of each vertex, -1 for none
+    for v in range(n):
+        for u in range(v - 1, -1, -1):
+            if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v):
+                prev[v] = u
+                break
     best_lex = 1 << m  # above every m-slot sequence
     best_order = None
 
@@ -311,7 +304,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
         if partial > shifted_best:
             return
         for v, c in chunks.items():
-            if c != min_chunk:
+            if c != min_chunk or prev[v] in chunks:
                 continue
             row_v = rows[v]
             child = {
@@ -330,26 +323,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
     for pos, v in enumerate(best_order):
         witness[v] = pos
     return CanonicalForm(_lex_to_bits(best_lex, n), tuple(witness))
-
-
-def canonical_form_bruteforce(g: Graph) -> CanonicalForm:
-    """All-permutations canonical form; independent oracle for small n."""
-    if g.n > 8:
-        raise GraphError("brute-force canonicalization capped at n <= 8")
-    if g.n <= 1:
-        return CanonicalForm(0, tuple(range(g.n)))
-    rows = g.rows()
-    best_lex = None
-    best_order = None
-    for order in itertools.permutations(range(g.n)):
-        lex = _lex_value(rows, order)
-        if best_lex is None or lex < best_lex:
-            best_lex = lex
-            best_order = order
-    witness = [0] * g.n
-    for pos, v in enumerate(best_order):
-        witness[v] = pos
-    return CanonicalForm(_lex_to_bits(best_lex, g.n), tuple(witness))
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -12,8 +12,9 @@ collects the "critical" vertex subsets whose induced coloring is one vertex
 away from a forbidden pattern, and tests all 2^k neighbor masks against
 those subsets as numpy vectors.
 
-A direct enumeration oracle over all labeled colorings (n <= 7) provides an
-independent check of both emptiness verdicts and per-level class sets.
+The test suite checks both emptiness verdicts and per-level class sets
+against a direct enumeration of all labeled colorings (n <= 7) in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import multiprocessing
 import numpy as np
 
 from .forbidden import ForbiddenFamily, is_forbidden
-from .graphs import Graph, canonical_form, induced_code, pair_count, pair_slot
+from .graphs import Graph, canonical_form, induced_code, pair_count
 
 DEFAULT_SURVIVOR_CAP = 50_000_000
 
@@ -291,76 +292,3 @@ def run_search(
             report.witnesses["graph6"] = lines
     return report
 
-
-# -- direct enumeration oracle ----------------------------------------------
-
-
-def _forbidden_mask(fam: ForbiddenFamily, n: int) -> np.ndarray:
-    """Boolean mask over all 2^(n(n-1)/2) labeled colorings of K_n."""
-    total = 1 << pair_count(n)
-    codes_all = np.arange(total, dtype=np.uint32)
-    bad = np.zeros(total, dtype=bool)
-    for m in fam.sizes:
-        if m > n:
-            break
-        patterns = np.array(sorted(fam.bad_codes[m]), dtype=np.uint32)
-        for subset in itertools.combinations(range(n), m):
-            slots = [
-                pair_slot(subset[i], subset[j])
-                for j in range(1, m)
-                for i in range(j)
-            ]
-            induced = np.zeros(total, dtype=np.uint32)
-            for idx, slot in enumerate(slots):
-                induced |= (codes_all >> np.uint32(slot) & np.uint32(1)) << np.uint32(
-                    idx
-                )
-            bad |= np.isin(induced, patterns)
-    return bad
-
-
-def brute_force_check(fam: ForbiddenFamily, n: int) -> bool:
-    """True iff every labeled coloring of K_n is forbidden (n <= 7 only)."""
-    if n > 7:
-        raise ValueError("direct enumeration is capped at n <= 7")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return bool(_forbidden_mask(fam, n).all())
-
-
-def _slot_permutation(perm, n):
-    table = [0] * pair_count(n)
-    for v in range(n):
-        for u in range(v):
-            table[pair_slot(u, v)] = pair_slot(perm[u], perm[v])
-    return table
-
-
-def brute_force_level_codes(fam: ForbiddenFamily, n: int) -> tuple[int, ...]:
-    """Canonical codes of all clean colorings of K_n, by direct enumeration.
-
-    Enumerates every labeled coloring, filters, then walks the clean set
-    marking whole relabeling orbits so each isomorphism class is
-    canonicalized exactly once.
-    """
-    if n > 7:
-        raise ValueError("direct enumeration is capped at n <= 7")
-    clean = np.flatnonzero(~_forbidden_mask(fam, n))
-    tables = [
-        _slot_permutation(perm, n)
-        for perm in itertools.permutations(range(n))
-    ]
-    marked = np.zeros(1 << pair_count(n), dtype=bool)
-    codes = []
-    for bits in clean:
-        bits = int(bits)
-        if marked[bits]:
-            continue
-        codes.append(canonical_form(Graph(n, bits)).code)
-        on = [i for i in range(pair_count(n)) if bits >> i & 1]
-        for table in tables:
-            image = 0
-            for i in on:
-                image |= 1 << table[i]
-            marked[image] = True
-    return tuple(sorted(codes))

@@ -179,28 +179,6 @@ def det_exact(m: SymMatrix) -> Fraction:
     return _exact_invariants(m)[0]
 
 
-def det_bareiss(m: SymMatrix) -> Fraction:
-    """Fraction-free Gaussian elimination determinant; cross-check oracle."""
-    n = m.n
-    if n == 0:
-        return Fraction(1)
-    a, lcm = _integer_scaled(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], lcm**n)
-
-
 # -- floating route ------------------------------------------------------------
 
 
@@ -254,13 +232,6 @@ def cycle_pattern_sample(n: int, rng: random.Random) -> SymMatrix:
 def h7_pattern_sample(rng: random.Random) -> SymMatrix:
     """Random 7x7 matrix positive exactly on the edges of H7."""
     return _pattern_sample(7, H7_PATTERN, rng)
-
-
-def cycle_eigenvalues(n: int) -> list[float]:
-    """Spectrum of the n-cycle adjacency matrix: 2cos(2 pi k / n), sorted."""
-    if n < 3:
-        raise MatrixError("cycles need n >= 3")
-    return sorted(2.0 * math.cos(2.0 * math.pi * k / n) for k in range(n))
 
 
 def expected_cycle_signature(n: int) -> tuple[int, int, int]:

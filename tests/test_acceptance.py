@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 from conftest import feasible_levels
+from oracles import brute_force_level_codes, cycle_eigenvalues
 
 from champagne import catalog, cli, geometry
 from champagne.forbidden import (
@@ -29,16 +30,8 @@ from champagne.graphs import (
     permute,
     switch,
 )
-from champagne.search import (
-    SearchOptions,
-    brute_force_level_codes,
-    run_search,
-)
-from champagne.signature import (
-    SymMatrix,
-    cycle_eigenvalues,
-    verify_pattern_lemma,
-)
+from champagne.search import SearchOptions, run_search
+from champagne.signature import SymMatrix, verify_pattern_lemma
 
 
 def report(number: int, label: str, ok: bool, detail: str = ""):

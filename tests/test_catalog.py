@@ -21,7 +21,6 @@ def _edges_1based(pairs):
 
 def test_catalog_contains_exactly_the_expected_names():
     assert sorted(catalog.CATALOG) == sorted(EXPECTED_NAMES)
-    assert [e.name for e in catalog.named_graphs()] == list(catalog.CATALOG)
 
 
 def test_get_unknown_name():

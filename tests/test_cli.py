@@ -146,6 +146,30 @@ def test_search_jobs_ignores_environment(capsys, monkeypatch):
     assert json.loads(out)["jobs"] == 1
 
 
+@pytest.mark.parametrize(
+    "family, n, digest",
+    [
+        ("default", "10", "831e1c63989e0c96d8305e053e17f4e5e68e8e7330a8c1e007905874ed57d22a"),
+        ("r34", "9", "744099b8d021f91e632b98a405dc4280f8597dcf6e65a415df206494b096ef5a"),
+    ],
+    ids=["default-10", "r34-9"],
+)
+def test_search_alias_report_bytes(capsys, family, n, digest):
+    # the same digests as run_search's timing-free reports in test_search:
+    # each alias builds the family the library constructors build
+    code, out, _ = run_cli(
+        capsys, "search", "--family", family, "--n", n, "--jobs", "1",
+        "--embed-witnesses",
+    )
+    assert code == 0
+    report = json.loads(out)
+    report.pop("jobs")
+    for level in report["levels"]:
+        level.pop("seconds")
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_search_deterministic_output_across_jobs(capsys):
     outs = []
     for jobs in ("1", "2"):
@@ -433,6 +457,29 @@ def test_catalog_listing(capsys):
     assert k7h7.count(",") == 11  # 12 edges
     for line in lines.values():
         assert "canonical=" in line and "graph6=" in line
+
+
+# -- output ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--family", "default", "--n", "3", "--jobs", "1", "--quiet"],
+        ["verify-signatures", "--trials", "1"],
+        ["check-lines", bundled_path("three_lines.json")],
+        ["gen-lower-bound", "--dim", "3"],
+        ["catalog"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_2(capsys, tmp_path, argv):
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error:")
+    assert not out_path.exists()
 
 
 # -- installed entry point ----------------------------------------------------------

@@ -13,16 +13,15 @@ from champagne.geometry import (
     LineConfig,
     are_parallel,
     check_realization,
-    chirality,
     chirality_graph,
     config_report,
     line_distance,
     load_config,
     lower_bound_config,
-    rigid_transform,
     t_matrix,
 )
 from champagne.graphs import Graph, complement, switch
+from oracles import rigid_transform
 
 X_AXIS = DirectedLine(np.zeros(3), np.array([1.0, 0.0, 0.0]))
 L2 = DirectedLine(np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
@@ -121,7 +120,7 @@ def test_all_pairs_match_scalar_loop(dim):
                 assert pair["chirality"] is None
         assert report.has_parallel
         if dim == 3:
-            matrix = t_matrix(LineConfig(3, tuple(lines[:-1]))).matrix
+            matrix = t_matrix(LineConfig(3, tuple(lines[:-1])))
             for v in range(len(lines) - 1):
                 for w in range(len(lines) - 1):
                     expected = 0.0 if v == w else scalar_pair(lines[v], lines[w])[2]
@@ -155,32 +154,38 @@ def test_intersecting_lines_have_distance_zero():
 
 
 def test_chirality_example_and_symmetries():
-    assert chirality(X_AXIS, L2) == -1
-    assert chirality(X_AXIS, L3) == 1
+    pairs = config_report(THREE).pairs
+    assert [(p["v"], p["w"], p["chirality"]) for p in pairs[:2]] == [(0, 1, -1), (0, 2, 1)]
     rng = np.random.default_rng(3)
     seen = 0
     while seen < 200:
         a, b = random_line(rng), random_line(rng)
-        try:
-            sign = chirality(a, b)
-        except DegeneratePairError:
+        sign = config_report(LineConfig(3, (a, b))).pairs[0]["chirality"]
+        if sign is None:
             continue
         seen += 1
-        assert sign == chirality(b, a)
-        assert chirality(a.reversed(), b) == -sign
-        assert chirality(a, b.reversed()) == -sign
+        assert sign in (1, -1)
+        for first, second, expected in (
+            (b, a, sign),
+            (a.reversed(), b, -sign),
+            (a, b.reversed(), -sign),
+        ):
+            pair = config_report(LineConfig(3, (first, second))).pairs[0]
+            assert pair["chirality"] == expected
 
 
 def test_chirality_degeneracies():
-    with pytest.raises(DegeneratePairError):
-        chirality(X_AXIS, DirectedLine(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])))
-    with pytest.raises(DegeneratePairError):
-        chirality(X_AXIS, DirectedLine(np.zeros(3), np.array([0.0, 1.0, 0.0])))
-    with pytest.raises(GeometryError):
-        chirality(
-            DirectedLine(np.zeros(4), np.array([1.0, 0, 0, 0])),
-            DirectedLine(np.zeros(4), np.array([0.0, 1, 0, 0])),
-        )
+    parallel = DirectedLine(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    crossing = DirectedLine(np.zeros(3), np.array([0.0, 1.0, 0.0]))
+    for other, is_parallel in ((parallel, True), (crossing, False)):
+        pair = config_report(LineConfig(3, (X_AXIS, other))).pairs[0]
+        assert pair["coplanar"] and pair["parallel"] == is_parallel
+        assert pair["chirality"] is None
+    skew_4d = LineConfig(4, (
+        DirectedLine(np.zeros(4), np.array([1.0, 0, 0, 0])),
+        DirectedLine(np.array([0.0, 0, 1, 0]), np.array([0.0, 1, 0, 0])),
+    ))
+    assert config_report(skew_4d).pairs[0]["chirality"] is None
 
 
 def test_chirality_graph_of_bundled_config():
@@ -241,15 +246,23 @@ def test_rigid_transform_requires_orthogonal():
         rigid_transform(THREE, np.diag([2.0, 1.0, 1.0]))
 
 
+def gram_residual(cfg, matrix):
+    """Max deviation of the orientation matrix from the split-form Gram
+    product of the 6-vectors (y_v cross x_v, x_v)."""
+    q = np.array([np.cross(ln.base, ln.direction) for ln in cfg.lines])
+    x = np.array([ln.direction for ln in cfg.lines])
+    return float(np.abs(matrix - (q @ x.T + x @ q.T)).max())
+
+
 def test_t_matrix_gram_identity():
-    tm = t_matrix(THREE)
-    assert tm.n == 3
-    assert np.all(np.diag(tm.matrix) == 0)
-    assert tm.gram_residual() <= 1e-12
+    matrix = t_matrix(THREE)
+    assert matrix.shape == (3, 3)
+    assert np.all(np.diag(matrix) == 0)
+    assert gram_residual(THREE, matrix) <= 1e-12
     for v in range(3):
         for w in range(v + 1, 3):
             cross = np.cross(THREE.lines[v].direction, THREE.lines[w].direction)
-            assert abs(tm.matrix[v, w]) == pytest.approx(
+            assert abs(matrix[v, w]) == pytest.approx(
                 float(np.linalg.norm(cross)), abs=1e-12
             )
 
@@ -260,10 +273,10 @@ def test_t_matrix_gram_identity_random_configs():
         lines = tuple(random_line(rng) for _ in range(4))
         cfg = LineConfig(3, lines)
         try:
-            tm = t_matrix(cfg)
+            matrix = t_matrix(cfg)
         except DegeneratePairError:
             continue
-        assert tm.gram_residual() <= 1e-10
+        assert gram_residual(cfg, matrix) <= 1e-10
 
 
 def test_t_matrix_rejects_parallel():

@@ -1,6 +1,7 @@
 """Graph values, operations, canonical labeling, and serialization."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from champagne.graphs import (
     Graph,
     GraphError,
     canonical_form,
-    canonical_form_bruteforce,
     canonical_graph,
     complement,
     cone,
@@ -23,6 +23,7 @@ from champagne.graphs import (
 )
 from champagne import catalog
 from conftest import graph_with_permutation, graphs, random_graph
+from oracles import canonical_form_bruteforce
 
 
 def test_pair_slot_order_is_grouped_by_larger_endpoint():
@@ -302,11 +303,38 @@ def test_vertex_transitive_graphs_canonicalize():
         catalog.complete_bipartite(2, 6),
         catalog.complete_bipartite(3, 5),
         c7_plus_k1,
+        # twin-rich: every isolated vertex is a twin of every other
+        Graph.from_edges(8, [(0, 1)]),
+        Graph.from_edges(8, [(0, 1), (1, 2), (0, 2)]),
     ]:
         h = permute(g, scramble)
         cf = canonical_form(h)
         assert cf.code == canonical_form_bruteforce(h).code
         assert permute(h, cf.witness).bits == cf.code
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        catalog.complete_bipartite(7, 7),
+        catalog.complete_bipartite(8, 8),
+        Graph.from_edges(11, [(0, 1)]),
+        Graph.from_edges(16, [(0, 1)]),
+    ],
+    ids=["K7,7", "K8,8", "edge+9K1", "edge+14K1"],
+)
+def test_twin_classes_canonicalize_fast(g):
+    # a twin class of size t has t! orders of equal lex value; the walk
+    # must try only one of them to stay fast here
+    start = time.perf_counter()
+    cf = canonical_form(g)
+    assert time.perf_counter() - start < 0.1
+    assert permute(g, cf.witness).bits == cf.code
+    shuffled = list(range(g.n))
+    random.Random(g.n).shuffle(shuffled)
+    assert canonical_form(permute(g, shuffled)).code == cf.code
+    if g.edge_count() == 1:
+        assert cf.code == 1 << pair_slot(g.n - 2, g.n - 1)  # the last slot
 
 
 def test_canonical_codes_partition_all_graphs_on_4_vertices():

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 from conftest import feasible_levels
+from oracles import brute_force_check, brute_force_level_codes
 
 from champagne.forbidden import ForbiddenFamily, default_family, ramsey_family
 from champagne.graphs import Graph, canonical_form, complement
@@ -11,8 +12,6 @@ from champagne.search import (
     FeasibleLevel,
     SearchCapExceeded,
     SearchOptions,
-    brute_force_check,
-    brute_force_level_codes,
     extend_level,
     run_search,
 )
