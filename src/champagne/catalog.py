@@ -23,14 +23,6 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def star_graph(n: int, center: int = 0) -> Graph:
-    return Graph.from_edges(n, [(center, v) for v in range(n) if v != center])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def _shift(edges):
     return [(u - 1, v - 1) for u, v in edges]
 

@@ -54,6 +54,16 @@ def _write(text: str, out: str | None) -> None:
         print(text)
 
 
+def _probe_writable(path: str) -> None:
+    """Raise OSError now if `path` cannot be opened for writing, without
+    truncating it or leaving a new file behind."""
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def cmd_search(args) -> int:
     try:
         opts = SearchOptions(
@@ -65,6 +75,10 @@ def cmd_search(args) -> int:
             seed=args.seed,
         )
         fam = _resolve_family(args.family)
+        # a search can run for minutes: refuse an unwritable path first
+        for path in (args.out, args.witnesses):
+            if path:
+                _probe_writable(path)
         report = run_search(fam, args.n, opts)
     except SearchCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

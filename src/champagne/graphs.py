@@ -13,7 +13,6 @@ edges are red, absent edges are blue.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 MAX_VERTICES = 16
@@ -89,17 +88,6 @@ class Graph:
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
         return tuple(rows)
-
-    def degree_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(r.bit_count() for r in self.rows()))
-
-    def triangle_count(self) -> int:
-        rows = self.rows()
-        return sum(
-            1
-            for u, v, w in itertools.combinations(range(self.n), 3)
-            if rows[u] >> v & 1 and rows[u] >> w & 1 and rows[v] >> w & 1
-        )
 
     # -- serialization ------------------------------------------------------
 
@@ -237,11 +225,14 @@ class CanonicalForm:
     slot sequence (slot 0 first) is lexicographically minimal.  Two graphs
     have equal `code` (and equal n) exactly when they are isomorphic.
     `witness` maps original labels to canonical positions, so
-    permute(g, witness).bits == code.
+    permute(g, witness).bits == code.  `generators` are automorphisms h of
+    g (permute(g, h) == g) that together generate its whole automorphism
+    group.
     """
 
     code: int
     witness: tuple[int, ...]
+    generators: tuple[tuple[int, ...], ...] = ()
 
 
 def _lex_to_bits(lex: int, n: int) -> int:
@@ -257,6 +248,42 @@ def _lex_to_bits(lex: int, n: int) -> int:
     return bits
 
 
+def _bits(mask: int):
+    """Indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _orbit(mask: int, perms) -> int:
+    """Union of the orbits of the vertices in `mask` under `perms`."""
+    orbit = frontier = mask
+    while frontier:
+        image = 0
+        for v in _bits(frontier):
+            for perm in perms:
+                image |= 1 << perm[v]
+        frontier = image & ~orbit
+        orbit |= frontier
+    return orbit
+
+
+def _split(cells, bit: int, row: int):
+    """The cells after placing the vertex `bit` with adjacency `row`: each
+    cell loses it and splits into its non-neighbours, then its neighbours."""
+    child = []
+    for mask, column in cells:
+        mask &= ~bit
+        column <<= 1
+        out = mask & ~row
+        if out:
+            child.append((out, column))
+        if mask ^ out:
+            child.append((mask ^ out, column | 1))
+    return child
+
+
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form: the relabeling with lexicographically minimal slot
     sequence, taken over all n! orders.
@@ -266,67 +293,138 @@ def canonical_form(g: Graph) -> CanonicalForm:
     Backtracking over positions: once positions 0..j-1 are fixed, the next
     block of slots is the adjacency column of position j against them, so
     only vertices whose column is minimal can extend an optimal labeling.
+    The unused vertices are kept as cells, one bitmask per distinct column,
+    in increasing column order; placing v splits every cell into its
+    non-neighbours of v, then its neighbours, so the first cell is always
+    the candidate set.  A lone candidate is placed without branching, and
+    once every cell is one vertex the rest of the order is the cell order.
     Branches whose decided slot prefix exceeds the best complete labeling
-    are pruned; the first complete labeling is the first incumbent.  Among
-    tied candidates, low-degree vertices are tried first.
+    are pruned; the first complete labeling is the first incumbent.
+    Vertices are relabeled by stable degree rank on entry, so tied
+    candidates are tried low degree first, then by label.
 
     Twins (u, v with the same neighbors outside {u, v}) are placed in label
     order: swapping two twins is an automorphism, so this keeps the lex
     minimum, and twins always tie, so the earlier twin is always a
     candidate when the later one is skipped.
+
+    A complete labeling that ties the incumbent differs from it by an
+    automorphism (best_order[i] -> order[i]), which is recorded.  It fixes
+    the prefix the two orders share and maps the incumbent's explored
+    subtree below it onto the current one, so the walk returns to that
+    prefix.  A candidate in the orbit of an explored sibling, under the
+    recorded automorphisms that fix the current prefix pointwise, roots a
+    subtree of exactly the values already seen, so it is skipped.  Only
+    subtrees with no value below the incumbent are skipped and the
+    incumbent changes only on a strictly smaller value, so the code and the
+    witness are those of the unpruned walk (McKay, "Practical Graph
+    Isomorphism", 1981).  Every minimal labeling is reached from the
+    witness by the recorded automorphisms and the twin swaps, so these
+    generate the automorphism group and are returned as `generators`.
     """
     n = g.n
     m = pair_count(n)
-    rows = g.rows()
-    prev = [-1] * n  # the previous twin of each vertex, -1 for none
+    rows0 = g.rows()
+    by_degree = sorted(range(n), key=lambda v: rows0[v].bit_count())
+    rank = [0] * n
+    for r, v in enumerate(by_degree):
+        rank[v] = r
+    rows = [sum(1 << rank[u] for u in _bits(rows0[v])) for v in by_degree]
+    prev = [0] * n  # bit of the previous twin of each vertex, 0 for none
+    twins = []
     for v in range(n):
         for u in range(v - 1, -1, -1):
             if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v):
-                prev[v] = u
+                prev[v] = 1 << u
+                twins.append((u, v))
                 break
     best_lex = 1 << m  # above every m-slot sequence
     best_order = None
+    autos = []  # the automorphisms found, as vertex maps
+    order = [0] * n  # order[:j] is the prefix of the current node
+    back = n  # depth the walk is returning to after finding an automorphism
 
-    # search stack entry: (order, chunks) where chunks[v] is the adjacency
-    # column of unused vertex v against the current order, MSB = position 0
-    def walk(order, chunks, partial, done_bits):
-        nonlocal best_lex, best_order
-        j = len(order)
-        if j == n:
-            if partial < best_lex:
-                best_lex = partial
-                best_order = list(order)
-            return
-        min_chunk = min(chunks.values())
-        partial = partial << j | min_chunk
-        done_bits += j
-        shifted_best = best_lex >> (m - done_bits)
-        if partial > shifted_best:
-            return
-        for v, c in chunks.items():
-            if c != min_chunk or prev[v] in chunks:
+    # cells: [(mask, column)] of the unused vertices, columns increasing,
+    # where column is the adjacency against order[:j], MSB = position 0
+    def walk(j, cells, partial, done_bits):
+        nonlocal best_lex, best_order, back
+        while True:
+            if len(cells) == n - j:
+                # every cell is one vertex: the rest of the order is the
+                # cell order, which no later split changes
+                tail = [mask.bit_length() - 1 for mask, _ in cells]
+                for t, (_, column) in enumerate(cells):
+                    row = rows[tail[t]]
+                    for u in tail[:t]:
+                        column = column << 1 | (row >> u & 1)
+                    partial = partial << (j + t) | column
+                    done_bits += j + t
+                    if partial > best_lex >> (m - done_bits):
+                        return
+                if partial < best_lex:
+                    best_lex = partial
+                    best_order = order[:j] + tail
+                elif partial == best_lex:
+                    perm = [0] * n
+                    for b, v in zip(best_order, order[:j] + tail):
+                        perm[b] = v
+                    autos.append(perm)
+                    # it fixes the prefix the two orders share and maps the
+                    # incumbent's explored subtree below it onto this one
+                    back = next(i for i, v in enumerate(best_order) if perm[v] != v)
+                return
+            candidates, min_chunk = cells[0]
+            partial = partial << j | min_chunk
+            done_bits += j
+            if partial > best_lex >> (m - done_bits):
+                return
+            if candidates & (candidates - 1):
+                break
+            # a lone candidate (its twins would share its cell): place it
+            # without branching
+            v = candidates.bit_length() - 1
+            cells = _split(cells, candidates, rows[v])
+            order[j] = v
+            j += 1
+        # an automorphism found below here whose shared prefix is shorter
+        # than j sends the walk back above this node, so every one found
+        # while this loop runs fixes order[:j] pointwise
+        found = len(autos)
+        orbit = 0  # explored candidates and their images
+        rest = candidates
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if orbit & bit:
                 continue
-            row_v = rows[v]
-            child = {
-                u: cu << 1 | (row_v >> u & 1)
-                for u, cu in chunks.items()
-                if u != v
-            }
-            order.append(v)
-            walk(order, child, partial, done_bits)
-            order.pop()
+            v = bit.bit_length() - 1
+            if prev[v] & candidates:  # an unused twin shares v's cell
+                continue
+            order[j] = v
+            walk(j + 1, _split(cells, bit, rows[v]), partial, done_bits)
+            if back < j:
+                return
+            back = n
+            orbit |= bit
+            if rest and len(autos) > found:
+                orbit = _orbit(orbit, autos[found:])
 
-    by_degree = sorted(range(n), key=lambda v: rows[v].bit_count())
-    walk([], dict.fromkeys(by_degree, 0), 0, 0)
+    walk(0, [((1 << n) - 1, 0)] if n else [], 0, 0)
 
     witness = [0] * n
     for pos, v in enumerate(best_order):
-        witness[v] = pos
-    return CanonicalForm(_lex_to_bits(best_lex, n), tuple(witness))
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return Graph(g.n, canonical_form(g).code)
+        witness[by_degree[v]] = pos
+    generators = []
+    for perm in autos:
+        h = [0] * n
+        for v in range(n):
+            h[by_degree[v]] = by_degree[perm[v]]
+        generators.append(tuple(h))
+    for u, v in twins:
+        h = list(range(n))
+        h[by_degree[u]], h[by_degree[v]] = by_degree[v], by_degree[u]
+        generators.append(tuple(h))
+    return CanonicalForm(_lex_to_bits(best_lex, n), tuple(witness), tuple(generators))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

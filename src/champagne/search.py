@@ -12,6 +12,11 @@ collects the "critical" vertex subsets whose induced coloring is one vertex
 away from a forbidden pattern, and tests all 2^k neighbor masks against
 those subsets as numpy vectors.
 
+An automorphism of the parent maps a clean mask to a clean mask whose child
+is isomorphic, so only one mask per orbit, the least, is canonicalized; the
+orbits come from the generators `canonical_form(parent)` returns.  The
+`kept` count of a level still counts every clean mask.
+
 The test suite checks both emptiness verdicts and per-level class sets
 against a direct enumeration of all labeled colorings (n <= 7) in
 tests/oracles.py.
@@ -160,8 +165,9 @@ def _mask_table(mask: int, bits: int) -> np.ndarray:
     return table[: 1 << bits].astype(bool)
 
 
-def _clean_extensions(parent: Graph, fam: ForbiddenFamily) -> list[int]:
-    """Neighbor masks M for which parent + new vertex (adjacent to M) is clean."""
+def _clean_extensions(parent: Graph, fam: ForbiddenFamily) -> np.ndarray:
+    """Neighbor masks M, ascending, for which parent + new vertex (adjacent
+    to M) is clean."""
     k = parent.n
     rows = parent.rows()
     masks = np.arange(1 << k, dtype=np.uint32)
@@ -169,12 +175,38 @@ def _clean_extensions(parent: Graph, fam: ForbiddenFamily) -> list[int]:
         width = m - 1
         for subset, completion in crit:
             if not masks.size:
-                return []
+                return masks
             selected = np.zeros(masks.size, dtype=np.uint32)
             for i, s in enumerate(subset):
                 selected |= (masks >> np.uint32(s) & np.uint32(1)) << np.uint32(i)
             masks = masks[~_mask_table(completion, width)[selected]]
-    return [int(m) for m in masks]
+    return masks
+
+
+def _orbit_representatives(masks: np.ndarray, generators, k: int) -> np.ndarray:
+    """The masks that are least in their orbit under the group generated by
+    `generators`, automorphisms of the parent acting on masks by sending
+    bit i to bit h[i].  `masks` must be a union of orbits."""
+    if not generators:
+        return masks
+    labels = np.arange(1 << k, dtype=np.uint32)
+    images = []
+    for h in generators:
+        image = np.zeros_like(labels)
+        for i, hi in enumerate(h):
+            image |= (labels >> np.uint32(i) & np.uint32(1)) << np.uint32(hi)
+        images.append(image)
+    # least[M] only ever falls, and always names a member of M's orbit; it
+    # stops falling once it is constant on every orbit, at the orbit minimum
+    least = labels
+    while True:
+        fallen = least
+        for image in images:
+            fallen = np.minimum(fallen, fallen[image])
+        fallen = fallen[fallen]
+        if np.array_equal(fallen, least):
+            return masks[least[masks] == masks]
+        least = fallen
 
 
 def _expand_chunk(args):
@@ -184,8 +216,14 @@ def _expand_chunk(args):
     child_codes = set()
     for bits in parent_codes:
         parent = Graph(k, bits)
-        for mask in _clean_extensions(parent, fam):
-            kept += 1
+        masks = _clean_extensions(parent, fam)
+        if not masks.size:
+            continue
+        kept += masks.size
+        # an automorphism of the parent maps each child to an isomorphic
+        # one, so one mask per orbit yields every child class
+        generators = canonical_form(parent).generators
+        for mask in _orbit_representatives(masks, generators, k).tolist():
             child_codes.add(canonical_form(Graph(k + 1, bits | mask << shift)).code)
     return child_codes, kept
 

@@ -22,6 +22,63 @@ from champagne.signature import MatrixError, SymMatrix, _integer_scaled
 # -- graphs ------------------------------------------------------------------
 
 
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_graph(n: int, center: int = 0) -> Graph:
+    return Graph.from_edges(n, [(center, v) for v in range(n) if v != center])
+
+
+def degree_multiset(g: Graph) -> tuple[int, ...]:
+    return tuple(sorted(r.bit_count() for r in g.rows()))
+
+
+def triangle_count(g: Graph) -> int:
+    rows = g.rows()
+    return sum(
+        1
+        for u, v, w in itertools.combinations(range(g.n), 3)
+        if rows[u] >> v & 1 and rows[u] >> w & 1 and rows[v] >> w & 1
+    )
+
+
+def automorphism_count(g: Graph) -> int:
+    """|Aut(g)|: every vertex map built one vertex at a time, keeping those
+    that preserve adjacency to the vertices already mapped."""
+    rows = g.rows()
+
+    def extend(image):
+        i = len(image)
+        if i == g.n:
+            return 1
+        return sum(
+            extend(image + [w])
+            for w in range(g.n)
+            if w not in image
+            and all(rows[i] >> u & 1 == rows[w] >> image[u] & 1 for u in range(i))
+        )
+
+    return extend([])
+
+
+def group_closure(generators, n: int) -> set[tuple[int, ...]]:
+    """Every permutation of 0..n-1 that is a product of `generators`."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        found = []
+        for p in frontier:
+            for h in generators:
+                q = tuple(h[p[i]] for i in range(n))
+                if q not in group:
+                    group.add(q)
+                    found.append(q)
+        frontier = found
+    return group
+
+
 def _lex_value(rows, order):
     """Slot sequence of the relabeling `order`, packed first-slot-highest,
     so integer comparison is lexicographic comparison of the sequence."""

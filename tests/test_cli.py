@@ -482,6 +482,31 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--witnesses"])
+def test_search_checks_output_paths_before_searching(capsys, tmp_path, monkeypatch, flag):
+    def no_search(*args, **kwargs):
+        raise AssertionError("run_search called despite an unwritable path")
+
+    monkeypatch.setattr("champagne.cli.run_search", no_search)
+    path = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, "search", "--n", "4", "--quiet", flag, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error:")
+
+
+def test_search_path_probe_keeps_existing_and_leaves_no_file(capsys, tmp_path):
+    existing = tmp_path / "report.json"
+    existing.write_text("old")
+    fresh = tmp_path / "fresh.g6"
+    # --n 0 is refused by the search after the paths are probed
+    code, _, _ = run_cli(capsys, "search", "--n", "0", "--quiet",
+                         "--out", str(existing), "--witnesses", str(fresh))
+    assert code == 2
+    assert existing.read_text() == "old"
+    assert not fresh.exists()
+
+
 # -- installed entry point ----------------------------------------------------------
 
 

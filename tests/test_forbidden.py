@@ -29,7 +29,7 @@ from champagne.graphs import (
     permute,
 )
 from conftest import graphs, isomorphic_by_permutations, random_graph
-from oracles import contains_induced
+from oracles import contains_induced, path_graph
 
 FAM = default_family()
 
@@ -125,7 +125,7 @@ def test_incremental_trivial_cases():
     c5_plus_isolated = Graph.from_edges(6, catalog.cycle_graph(5).edges())
     assert contains_induced(complement(c5_plus_isolated), catalog.get("K6-C5"))
     assert is_forbidden_incremental(c5_plus_isolated, FAM, 5)
-    p4_plus_isolated = Graph.from_edges(5, catalog.path_graph(4).edges())
+    p4_plus_isolated = Graph.from_edges(5, path_graph(4).edges())
     assert not is_forbidden_incremental(p4_plus_isolated, FAM, 4)
 
 

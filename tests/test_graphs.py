@@ -1,5 +1,6 @@
 """Graph values, operations, canonical labeling, and serialization."""
 
+import hashlib
 import random
 import time
 
@@ -12,7 +13,6 @@ from champagne.graphs import (
     Graph,
     GraphError,
     canonical_form,
-    canonical_graph,
     complement,
     cone,
     induced_subgraph,
@@ -23,7 +23,15 @@ from champagne.graphs import (
 )
 from champagne import catalog
 from conftest import graph_with_permutation, graphs, random_graph
-from oracles import canonical_form_bruteforce
+from oracles import (
+    automorphism_count,
+    canonical_form_bruteforce,
+    degree_multiset,
+    group_closure,
+    path_graph,
+    star_graph,
+    triangle_count,
+)
 
 
 def test_pair_slot_order_is_grouped_by_larger_endpoint():
@@ -38,7 +46,7 @@ def test_from_edges_and_accessors():
     assert not g.has_edge(0, 3)
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
     assert g.edge_count() == 3
-    assert g.degree_multiset() == (1, 1, 2, 2)
+    assert degree_multiset(g) == (1, 1, 2, 2)
     assert g.rows()[1] == 0b0101
 
 
@@ -54,9 +62,9 @@ def test_graph_validation():
 
 
 def test_triangle_count():
-    assert Graph.complete(4).triangle_count() == 4
-    assert catalog.cycle_graph(5).triangle_count() == 0
-    assert catalog.H7.triangle_count() == 1
+    assert triangle_count(Graph.complete(4)) == 4
+    assert triangle_count(catalog.cycle_graph(5)) == 0
+    assert triangle_count(catalog.H7) == 1
 
 
 # -- serialization -----------------------------------------------------------
@@ -66,7 +74,7 @@ GRAPH6_REFERENCE = [
     (Graph(1), "@"),
     (Graph.empty(5), "D??"),
     (Graph.complete(4), "C~"),
-    (catalog.path_graph(4), "Ch"),
+    (path_graph(4), "Ch"),
     (catalog.cycle_graph(5), "Dhc"),
     (catalog.complete_bipartite(3, 2), "DFw"),
     (catalog.H6, "EhdG"),
@@ -143,14 +151,14 @@ def test_induced_subgraph_of_complete():
 
 def test_induced_path_from_cycle():
     got = induced_subgraph(catalog.cycle_graph(7), [0, 1, 2])
-    assert got == catalog.path_graph(3)
+    assert got == path_graph(3)
 
 
 def test_induced_star_inside_k7_minus_h7():
     # vertices 1,2,3 are mutually non-adjacent there, all adjacent to 7
     got = induced_subgraph(catalog.get("K7-H7"), [0, 1, 2, 6])
-    assert is_isomorphic(got, catalog.star_graph(4, center=3))
-    assert got == catalog.star_graph(4, center=3)
+    assert is_isomorphic(got, star_graph(4, center=3))
+    assert got == star_graph(4, center=3)
 
 
 @given(graphs(min_n=1), st.data())
@@ -205,7 +213,7 @@ def test_permute_identity_and_composition():
 @given(graph_with_permutation(max_n=7))
 def test_permute_preserves_degree_multiset(gp):
     g, perm = gp
-    assert permute(g, perm).degree_multiset() == g.degree_multiset()
+    assert degree_multiset(permute(g, perm)) == degree_multiset(g)
 
 
 def test_permute_rejects_non_bijection():
@@ -236,15 +244,13 @@ def test_witness_preserves_isomorphism_invariants():
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 8))
         h = permute(g, canonical_form(g).witness)
-        assert h.degree_multiset() == g.degree_multiset()
+        assert degree_multiset(h) == degree_multiset(g)
         assert h.edge_count() == g.edge_count()
-        assert h.triangle_count() == g.triangle_count()
+        assert triangle_count(h) == triangle_count(g)
 
 
 def test_distinct_codes_for_path_and_star():
-    assert canonical_form(catalog.path_graph(4)).code != canonical_form(
-        catalog.star_graph(4)
-    ).code
+    assert canonical_form(path_graph(4)).code != canonical_form(star_graph(4)).code
 
 
 def test_self_complementary_c5_has_equal_codes():
@@ -254,8 +260,8 @@ def test_self_complementary_c5_has_equal_codes():
 
 def test_canonical_graph_is_fixed_point():
     g = random_graph(random.Random(3), 7)
-    cg = canonical_graph(g)
-    assert canonical_graph(cg) == cg
+    cg = Graph(g.n, canonical_form(g).code)
+    assert canonical_form(cg).code == cg.bits
 
 
 def test_canonical_form_trivial_and_symmetric_cases():
@@ -335,6 +341,83 @@ def test_twin_classes_canonicalize_fast(g):
     assert canonical_form(permute(g, shuffled)).code == cf.code
     if g.edge_count() == 1:
         assert cf.code == 1 << pair_slot(g.n - 2, g.n - 1)  # the last slot
+
+
+@pytest.mark.parametrize("k, bound", [(14, 0.3), (16, 1.5)], ids=["C14", "C16"])
+def test_symmetric_graphs_without_twins_canonicalize_fast(k, bound):
+    # no twins here: only the recorded automorphisms cut the tied branches
+    g = catalog.cycle_graph(k)
+    start = time.perf_counter()
+    cf = canonical_form(g)
+    assert time.perf_counter() - start < bound
+    assert permute(g, cf.witness).bits == cf.code
+    shuffled = list(range(k))
+    random.Random(k).shuffle(shuffled)
+    assert canonical_form(permute(g, shuffled)).code == cf.code
+
+
+def assert_generates_the_automorphism_group(g):
+    # automorphisms whose products number |Aut(g)| generate all of Aut(g)
+    generators = canonical_form(g).generators
+    for h in generators:
+        assert permute(g, h) == g, (g, h)
+    assert len(group_closure(generators, g.n)) == automorphism_count(g), g
+
+
+@given(graphs(max_n=8))
+def test_generators_are_automorphisms(g):
+    for h in canonical_form(g).generators:
+        assert permute(g, h) == g
+
+
+def test_generators_generate_the_automorphism_group_up_to_6():
+    # every labeled graph on n <= 5, and every class on 6 vertices in two
+    # labelings; each 6-vertex graph is a 5-vertex class plus one vertex
+    for n in range(6):
+        for bits in range(1 << n * (n - 1) // 2):
+            assert_generates_the_automorphism_group(Graph(n, bits))
+    classes = {
+        canonical_form(Graph(6, code | mask << 10)).code
+        for code in {canonical_form(Graph(5, bits)).code for bits in range(1024)}
+        for mask in range(32)
+    }
+    assert len(classes) == 156
+    for code in sorted(classes):
+        assert_generates_the_automorphism_group(Graph(6, code))
+        assert_generates_the_automorphism_group(permute(Graph(6, code), (3, 5, 0, 4, 1, 2)))
+
+
+def test_generators_generate_the_automorphism_group_up_to_8():
+    rng = random.Random(8)
+    cases = [random_graph(rng, rng.randint(6, 8)) for _ in range(20)]
+    cases += [catalog.cycle_graph(k) for k in range(3, 9)]
+    cases += [
+        catalog.complete_bipartite(a, b)
+        for a in range(1, 5)
+        for b in range(a, 9 - a)
+    ]
+    for g in cases:
+        shuffled = list(range(g.n))
+        rng.shuffle(shuffled)
+        assert_generates_the_automorphism_group(permute(g, shuffled))
+
+
+def test_canonical_forms_are_pinned():
+    # sha256 of "code witness" lines, taken before automorphism pruning:
+    # the pruned walk returns the same code and the same witness
+    rng = random.Random(2026)
+    sizes = [rng.randint(0, 12) for _ in range(1500)]
+    cases = [Graph(n, rng.getrandbits(n * (n - 1) // 2)) for n in sizes]
+    cases += [catalog.cycle_graph(k) for k in range(3, 15)]
+    cases += [catalog.complete_bipartite(a, b) for a in range(1, 8) for b in range(a, 9)]
+    digest = hashlib.sha256()
+    for g in cases:
+        cf = canonical_form(g)
+        digest.update(f"{cf.code} {','.join(map(str, cf.witness))}\n".encode())
+    assert len(cases) == 1547
+    assert digest.hexdigest() == (
+        "aae41ad37b2743c39b2da1d1fc1ac809f7e689bc32ef12d350916096fc2bc30e"
+    )
 
 
 def test_canonical_codes_partition_all_graphs_on_4_vertices():

@@ -1,23 +1,30 @@
 """Level-by-level search: counts, oracles, determinism, and reporting."""
 
 import hashlib
+import random
 
+import numpy as np
 import pytest
 from conftest import feasible_levels
-from oracles import brute_force_check, brute_force_level_codes
+from oracles import brute_force_check, brute_force_level_codes, group_closure
 
+from champagne import catalog
 from champagne.forbidden import ForbiddenFamily, default_family, ramsey_family
-from champagne.graphs import Graph, canonical_form, complement
+from champagne.graphs import Graph, canonical_form, complement, pair_count
 from champagne.search import (
     FeasibleLevel,
     SearchCapExceeded,
     SearchOptions,
+    _clean_extensions,
+    _expand_chunk,
+    _orbit_representatives,
     extend_level,
     run_search,
 )
 
 FAM = default_family()
 R34 = ramsey_family(3, 4)
+R44 = ramsey_family(4, 4)
 
 # level counts; derived goldens cross-checked against direct enumeration
 # (k <= 7) and brute-force canonicalization of every level graph (k <= 8)
@@ -123,6 +130,70 @@ def test_report_bytes_pin_canonical_codes(fam, n, digest, jobs):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.fixture(scope="module", params=["default-10", "r44-8"])
+def every_child(request):
+    """Each parent of every level below the top, with the canonical form of
+    each of its clean extensions, masks ascending: every child, not one per
+    orbit."""
+    fam, n = {"default-10": (FAM, 10), "r44-8": (R44, 8)}[request.param]
+    parents = []
+    for level in feasible_levels(fam, n - 1):
+        shift = pair_count(level.k)
+        for parent in level.graphs:
+            forms = [
+                canonical_form(Graph(level.k + 1, parent.bits | mask << shift))
+                for mask in _clean_extensions(parent, fam).tolist()
+            ]
+            parents.append((parent, forms))
+    return request.param, fam, parents
+
+
+# sha256 of "code witness" lines over every child in search order, taken
+# before automorphism pruning: codes, witnesses and levels are unchanged
+CHILD_FORM_DIGESTS = {
+    "default-10": (5206, "cb1dda5c9c3478f5954c8df2d3a1f5b55a5ed4dc149c356643f799ca3646ac67"),
+    "r44-8": (26010, "1984f758e40bb332fec151d329854e394033d5010eeb7dc8f45607c91e6b5cfb"),
+}
+
+
+def test_every_child_canonical_form_is_pinned(every_child):
+    name, _, parents = every_child
+    digest = hashlib.sha256()
+    count = 0
+    for _, forms in parents:
+        for cf in forms:
+            digest.update(f"{cf.code} {','.join(map(str, cf.witness))}\n".encode())
+            count += 1
+    assert (count, digest.hexdigest()) == CHILD_FORM_DIGESTS[name]
+
+
+def test_orbit_pruned_expansion_matches_every_mask(every_child):
+    _, fam, parents = every_child
+    for parent, forms in parents:
+        codes, kept = _expand_chunk(((parent.bits,), parent.n, fam))
+        assert kept == len(forms)
+        assert codes == {cf.code for cf in forms}
+
+
+def test_orbit_representatives_are_the_orbit_minima():
+    rng = random.Random(5)
+    cases = [catalog.cycle_graph(6), catalog.complete_bipartite(2, 4), Graph.empty(5)]
+    cases += [Graph(7, rng.getrandbits(21)) for _ in range(5)]
+    for g in cases:
+        generators = canonical_form(g).generators
+        group = group_closure(generators, g.n)
+        least = [
+            mask
+            for mask in range(1 << g.n)
+            if all(
+                sum(1 << h[i] for i in range(g.n) if mask >> i & 1) >= mask
+                for h in group
+            )
+        ]
+        every = np.arange(1 << g.n, dtype=np.uint32)
+        assert _orbit_representatives(every, generators, g.n).tolist() == least
+
+
 def test_witness_file_and_embedding(tmp_path):
     path = tmp_path / "out.g6"
     rep = run_search(
@@ -218,7 +289,5 @@ def test_search_with_single_both_scope_pattern():
     assert [level.count for level in levels] == [1, 2, 2, 3, 1, 0]
     for level in levels[:5]:
         assert tuple(level.codes()) == brute_force_level_codes(fam, level.k)
-    from champagne import catalog
-
     lone = levels[4].graphs[0]
     assert canonical_form(catalog.cycle_graph(5)).code == lone.bits
