@@ -7,11 +7,11 @@ forbids either.  Patterns are small (2..8 vertices), so each entry is
 compiled to the set of edge-bitset codes of all its labeled copies; an
 induced-containment test is then subset enumeration plus set membership.
 
-For the level-by-level search there is also a prefix map per pattern size:
-bad code -> (bits among the first m-1 vertices, bits of the last vertex's
-column).  Because the slot order groups pairs by their larger endpoint,
-checking all extensions of a clean graph by one new (largest) vertex
-reduces to dictionary lookups on already-induced prefixes.
+For the level-by-level search, `completions[m]` splits each bad code into
+its prefix (bits among the first m-1 vertices; the slot order groups pairs
+by their larger endpoint) and the last vertex's column c: sorted distinct
+prefixes, and a bool table whose [prefix row, c] entries mark bad codes.
+Checking all one-vertex extensions then reduces to prefix lookups.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import itertools
 import json
 from functools import lru_cache
 from importlib import resources
+
+import numpy as np
 
 from . import catalog
 from .graphs import Graph, complement, induced_code, pair_count, permute
@@ -63,14 +65,16 @@ class ForbiddenFamily:
                 codes |= labeled_copies(complement(g))
         self.bad_codes = {m: frozenset(c) for m, c in sorted(bad.items())}
         self.sizes = tuple(sorted(self.bad_codes))
-        self.prefix_map: dict[int, dict[int, int]] = {}
+        self.completions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for m, codes in self.bad_codes.items():
             shift = pair_count(m - 1)
-            prefixes: dict[int, int] = {}
-            for code in codes:
-                low = code & ((1 << shift) - 1)
-                prefixes[low] = prefixes.get(low, 0) | 1 << (code >> shift)
-            self.prefix_map[m] = prefixes
+            codes = np.fromiter(codes, dtype=np.int64, count=len(codes))
+            low = codes & ((1 << shift) - 1)
+            keys = np.array(sorted(set(low.tolist())), dtype=np.int64)
+            rows = np.searchsorted(keys, low)
+            table = np.zeros((keys.size, 1 << (m - 1)), dtype=bool)
+            table[rows, codes >> shift] = True
+            self.completions[m] = (keys, table)
 
     def describe(self) -> list[dict]:
         out = []

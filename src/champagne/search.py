@@ -7,10 +7,11 @@ stay clean, then canonicalizing, deduplicating and sorting.  Any clean
 coloring of K_{k+1} restricts to a clean coloring of K_k, so no survivor is
 missed.
 
-The extension filter never re-scans the whole graph: for each parent it
-collects the "critical" vertex subsets whose induced coloring is one vertex
-away from a forbidden pattern, and tests all 2^k neighbor masks against
-those subsets as numpy vectors.
+The extension filter never re-scans the whole graph.  Per pattern size m,
+in whole numpy arrays, it looks the induced codes of all (m-1)-subsets of
+the parent up among the family's prefix keys to find the "critical" subsets
+(one vertex short of a forbidden pattern), then marks a neighbor mask bad
+when its bits on a critical subset select a completing column.
 
 An automorphism of the parent maps a clean mask to a clean mask whose child
 is isomorphic, so only one mask per orbit, the least, is canonicalized; the
@@ -36,7 +37,7 @@ import multiprocessing
 import numpy as np
 
 from .forbidden import ForbiddenFamily, is_forbidden
-from .graphs import Graph, canonical_form, induced_code, pair_count
+from .graphs import Graph, canonical_form, pair_count
 
 DEFAULT_SURVIVOR_CAP = 50_000_000
 
@@ -132,55 +133,55 @@ class SearchReport:
         return json.dumps(self.to_json_obj(with_timing), indent=2, sort_keys=True)
 
 
-def _critical_subsets(rows, k: int, fam: ForbiddenFamily):
-    """Subsets of the k parent vertices one vertex short of a forbidden
-    pattern, grouped by pattern size.
-
-    Returns [(m, [(subset, completion_mask), ...]), ...] where bit c of
-    completion_mask is set when joining the new vertex to exactly the subset
-    members selected by c completes a forbidden pattern.
-    """
-    out = []
-    for m in fam.sizes:
-        if m - 1 > k:
-            break
-        prefixes = fam.prefix_map[m]
-        crit = []
-        for subset in itertools.combinations(range(k), m - 1):
-            mask = prefixes.get(induced_code(rows, subset))
-            if mask:
-                crit.append((subset, mask))
-        if crit:
-            out.append((m, crit))
-    return out
+@lru_cache(maxsize=None)
+def _mask_bits(k: int) -> np.ndarray:
+    """bits[i, M] = bit i of neighbor mask M, for all 2^k masks."""
+    masks = np.arange(1 << k, dtype=np.uint32)
+    return (masks >> np.arange(k, dtype=np.uint32)[:, None] & 1).astype(np.uint8)
 
 
-@lru_cache(maxsize=65536)
-def _mask_table(mask: int, bits: int) -> np.ndarray:
-    nbytes = ((1 << bits) + 7) // 8
-    table = np.unpackbits(
-        np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8),
-        bitorder="little",
-    )
-    return table[: 1 << bits].astype(bool)
+@lru_cache(maxsize=None)
+def _subsets(k: int, w: int):
+    """The w-subsets of range(k), ascending, and for each the parent's bit
+    slots of its pairs in slot order."""
+    subsets = np.array(list(itertools.combinations(range(k), w)), dtype=np.intp)
+    high, low = np.tril_indices(w, -1)  # pairs (j, i), j > i, in slot order
+    top = subsets[:, high]
+    return subsets, top * (top - 1) // 2 + subsets[:, low]
 
 
 def _clean_extensions(parent: Graph, fam: ForbiddenFamily) -> np.ndarray:
     """Neighbor masks M, ascending, for which parent + new vertex (adjacent
     to M) is clean."""
     k = parent.n
-    rows = parent.rows()
-    masks = np.arange(1 << k, dtype=np.uint32)
-    for m, crit in _critical_subsets(rows, k, fam):
-        width = m - 1
-        for subset, completion in crit:
-            if not masks.size:
-                return masks
-            selected = np.zeros(masks.size, dtype=np.uint32)
-            for i, s in enumerate(subset):
-                selected |= (masks >> np.uint32(s) & np.uint32(1)) << np.uint32(i)
-            masks = masks[~_mask_table(completion, width)[selected]]
-    return masks
+    nbytes = (pair_count(k) + 7) // 8
+    slots = np.unpackbits(
+        np.frombuffer(parent.bits.to_bytes(nbytes, "little"), dtype=np.uint8),
+        bitorder="little",
+    )
+    mbits = _mask_bits(k)
+    bad = np.zeros(1 << k, dtype=bool)
+    # critical subsets in blocks of at most 2^17 selector cells
+    block = max(1, (1 << 17) >> k)
+    for m in fam.sizes:
+        if m - 1 > k:
+            break
+        keys, table = fam.completions[m]
+        subsets, pair_slots = _subsets(k, m - 1)
+        weights = np.int64(1) << np.arange(pair_slots.shape[1])
+        codes = (slots[pair_slots] * weights).sum(axis=1)
+        rows = np.minimum(np.searchsorted(keys, codes), keys.size - 1)
+        hit = keys[rows] == codes
+        # each critical subset's row start in the flattened table
+        offsets, subsets = rows[hit] << (m - 1), subsets[hit]
+        for lo in range(0, offsets.size, block):
+            chunk = subsets[lo : lo + block]
+            # bit i of the selector is the mask's bit at the subset's i-th vertex
+            sel = mbits[chunk[:, 0]]
+            for i in range(1, m - 1):
+                sel |= mbits[chunk[:, i]] << i
+            bad |= table.ravel()[offsets[lo : lo + block, None] + sel].any(axis=0)
+    return np.flatnonzero(~bad).astype(np.uint32)
 
 
 def _orbit_representatives(masks: np.ndarray, generators, k: int) -> np.ndarray:
@@ -189,16 +190,16 @@ def _orbit_representatives(masks: np.ndarray, generators, k: int) -> np.ndarray:
     bit i to bit h[i].  `masks` must be a union of orbits."""
     if not generators:
         return masks
-    labels = np.arange(1 << k, dtype=np.uint32)
+    mbits = _mask_bits(k).astype(np.uint32)
     images = []
     for h in generators:
-        image = np.zeros_like(labels)
+        image = np.zeros(1 << k, dtype=np.uint32)
         for i, hi in enumerate(h):
-            image |= (labels >> np.uint32(i) & np.uint32(1)) << np.uint32(hi)
+            image |= mbits[i] << hi
         images.append(image)
     # least[M] only ever falls, and always names a member of M's orbit; it
     # stops falling once it is constant on every orbit, at the orbit minimum
-    least = labels
+    least = np.arange(1 << k, dtype=np.uint32)
     while True:
         fallen = least
         for image in images:
@@ -210,7 +211,9 @@ def _orbit_representatives(masks: np.ndarray, generators, k: int) -> np.ndarray:
 
 
 def _expand_chunk(args):
-    parent_codes, k, fam = args
+    """Child codes and the clean-mask count over a run of parents.  Stops
+    early, with the partial counts, once either count passes `cap`."""
+    parent_codes, k, fam, cap = args
     shift = pair_count(k)
     kept = 0
     child_codes = set()
@@ -220,11 +223,15 @@ def _expand_chunk(args):
         if not masks.size:
             continue
         kept += masks.size
+        if kept > cap:
+            break
         # an automorphism of the parent maps each child to an isomorphic
         # one, so one mask per orbit yields every child class
         generators = canonical_form(parent).generators
         for mask in _orbit_representatives(masks, generators, k).tolist():
             child_codes.add(canonical_form(Graph(k + 1, bits | mask << shift)).code)
+        if len(child_codes) > cap:
+            break
     return child_codes, kept
 
 
@@ -235,7 +242,7 @@ def extend_level(
     return new_level
 
 
-def _extend_level_stats(level, fam, jobs):
+def _extend_level_stats(level, fam, jobs, cap=DEFAULT_SURVIVOR_CAP):
     k = level.k
     if k >= 16:
         raise ValueError("levels beyond 16 vertices are unsupported")
@@ -243,7 +250,7 @@ def _extend_level_stats(level, fam, jobs):
     expanded = level.count * (1 << k)
     if jobs == 1 or level.count < 2 * jobs:
         chunks = [parent_codes] if parent_codes else []
-        results = [_expand_chunk((c, k, fam)) for c in chunks]
+        results = [_expand_chunk((c, k, fam, cap)) for c in chunks]
     else:
         bounds = np.linspace(0, len(parent_codes), jobs + 1).astype(int)
         chunks = [
@@ -253,7 +260,7 @@ def _extend_level_stats(level, fam, jobs):
         ]
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            results = list(pool.map(_expand_chunk, [(c, k, fam) for c in chunks]))
+            results = list(pool.map(_expand_chunk, [(c, k, fam, cap) for c in chunks]))
     codes: set[int] = set()
     kept = 0
     for chunk_codes, chunk_kept in results:
@@ -270,7 +277,8 @@ def run_search(
 
     Stops early once a level is empty.  The verdict, level counts and any
     witness output are deterministic for any worker count; only the timing
-    fields vary run to run.
+    fields vary run to run, and the partial counts of a level that passed
+    the cap depend on where its chunks stopped.
     """
     if not 1 <= n_max <= 16:
         raise ValueError("n_max must be in 1..16")
@@ -290,7 +298,7 @@ def run_search(
     final = level  # the last non-empty level
     while level.k < n_max and level.count > 0:
         t0 = time.perf_counter()
-        level, expanded, kept = _extend_level_stats(level, fam, opts.jobs)
+        level, expanded, kept = _extend_level_stats(level, fam, opts.jobs, opts.cap)
         report.levels.append(
             {
                 "k": level.k,
@@ -308,6 +316,7 @@ def run_search(
             )
         if level.count > 0:
             final = level
+        # a chunk stops once it passes the cap, so these counts are partial
         if max(kept, level.count) > opts.cap:
             report.verdict = {"kind": "cap-exceeded", "k": level.k}
             raise SearchCapExceeded(report)

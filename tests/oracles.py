@@ -10,6 +10,7 @@ small inputs and no command runs them.
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,6 +159,53 @@ def brute_force_check(fam: ForbiddenFamily, n: int) -> bool:
     if n < 1:
         raise ValueError("n must be >= 1")
     return bool(_forbidden_mask(fam, n).all())
+
+
+@lru_cache(maxsize=16)
+def _prefix_map(fam: ForbiddenFamily, m: int) -> dict[int, int]:
+    """Bad code -> bits among the first m-1 vertices, mapped to the set of
+    last-vertex columns that complete it (bit c for column c)."""
+    shift = pair_count(m - 1)
+    prefixes: dict[int, int] = {}
+    for code in fam.bad_codes[m]:
+        low = code & ((1 << shift) - 1)
+        prefixes[low] = prefixes.get(low, 0) | 1 << (code >> shift)
+    return prefixes
+
+
+def _critical_subsets(rows, k: int, fam: ForbiddenFamily):
+    """Subsets of the k parent vertices one vertex short of a forbidden
+    pattern: [(subset, completion_mask), ...], where bit c of
+    completion_mask is set when joining the new vertex to exactly the
+    subset members selected by c completes a forbidden pattern."""
+    crit = []
+    for m in fam.sizes:
+        if m - 1 > k:
+            break
+        prefixes = _prefix_map(fam, m)
+        for subset in itertools.combinations(range(k), m - 1):
+            mask = prefixes.get(induced_code(rows, subset))
+            if mask:
+                crit.append((subset, mask))
+    return crit
+
+
+def clean_extensions_scalar(parent: Graph, fam: ForbiddenFamily) -> np.ndarray:
+    """search._clean_extensions, one critical subset at a time: the masks
+    that select a completing column of no critical subset."""
+    k = parent.n
+    masks = np.arange(1 << k, dtype=np.uint32)
+    for subset, completion in _critical_subsets(parent.rows(), k, fam):
+        selected = np.zeros(masks.size, dtype=np.uint32)
+        for i, s in enumerate(subset):
+            selected |= (masks >> np.uint32(s) & np.uint32(1)) << np.uint32(i)
+        masks = masks[~_completes(completion, len(subset))[selected]]
+    return masks
+
+
+@lru_cache(maxsize=65536)
+def _completes(completion: int, width: int) -> np.ndarray:
+    return np.array([completion >> c & 1 for c in range(1 << width)], dtype=bool)
 
 
 def _slot_permutation(perm, n):

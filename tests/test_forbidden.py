@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -204,14 +205,15 @@ def test_family_json_rejects_malformed():
         family_from_json([{"pattern": "K99"}])
 
 
-def test_prefix_map_inverts_bad_codes():
+def test_completion_tables_invert_bad_codes():
     for m, codes in FAM.bad_codes.items():
         shift = pair_count(m - 1)
+        keys, table = FAM.completions[m]
+        assert keys.tolist() == sorted(set(keys.tolist()))
         rebuilt = set()
-        for low, mask in FAM.prefix_map[m].items():
-            for high in range(1 << (m - 1)):
-                if mask >> high & 1:
-                    rebuilt.add(low | high << shift)
+        for low, row in zip(keys.tolist(), table):
+            for high in np.flatnonzero(row).tolist():
+                rebuilt.add(low | high << shift)
         assert rebuilt == set(codes)
 
 

@@ -2,16 +2,28 @@
 
 import hashlib
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from conftest import feasible_levels
-from oracles import brute_force_check, brute_force_level_codes, group_closure
+from oracles import (
+    brute_force_check,
+    brute_force_level_codes,
+    clean_extensions_scalar,
+    group_closure,
+)
 
-from champagne import catalog
-from champagne.forbidden import ForbiddenFamily, default_family, ramsey_family
+from champagne import catalog, search
+from champagne.forbidden import (
+    ForbiddenFamily,
+    default_family,
+    is_forbidden_incremental,
+    ramsey_family,
+)
 from champagne.graphs import Graph, canonical_form, complement, pair_count
 from champagne.search import (
+    DEFAULT_SURVIVOR_CAP,
     FeasibleLevel,
     SearchCapExceeded,
     SearchOptions,
@@ -25,11 +37,19 @@ from champagne.search import (
 FAM = default_family()
 R34 = ramsey_family(3, 4)
 R44 = ramsey_family(4, 4)
+R35 = ramsey_family(3, 5)
+FAMILIES = {"default": FAM, "r44": R44, "r35": R35}
 
 # level counts; derived goldens cross-checked against direct enumeration
 # (k <= 7) and brute-force canonicalization of every level graph (k <= 8)
 GOLDEN_DEFAULT = [1, 2, 4, 9, 22, 62, 158, 242, 82, 0]
 GOLDEN_R34 = [1, 2, 3, 6, 9, 15, 9, 3, 0]
+
+
+@lru_cache(maxsize=None)
+def search_levels(name: str, n: int) -> tuple[FeasibleLevel, ...]:
+    """Levels 1..n of a named family's search, computed once per module."""
+    return tuple(feasible_levels(FAMILIES[name], n))
 
 
 def level_1():
@@ -135,9 +155,10 @@ def every_child(request):
     """Each parent of every level below the top, with the canonical form of
     each of its clean extensions, masks ascending: every child, not one per
     orbit."""
-    fam, n = {"default-10": (FAM, 10), "r44-8": (R44, 8)}[request.param]
+    name, n = {"default-10": ("default", 10), "r44-8": ("r44", 8)}[request.param]
+    fam = FAMILIES[name]
     parents = []
-    for level in feasible_levels(fam, n - 1):
+    for level in search_levels(name, n - 1):
         shift = pair_count(level.k)
         for parent in level.graphs:
             forms = [
@@ -170,9 +191,41 @@ def test_every_child_canonical_form_is_pinned(every_child):
 def test_orbit_pruned_expansion_matches_every_mask(every_child):
     _, fam, parents = every_child
     for parent, forms in parents:
-        codes, kept = _expand_chunk(((parent.bits,), parent.n, fam))
+        codes, kept = _expand_chunk(
+            ((parent.bits,), parent.n, fam, DEFAULT_SURVIVOR_CAP)
+        )
         assert kept == len(forms)
         assert codes == {cf.code for cf in forms}
+
+
+@pytest.mark.parametrize("name, top", [("default", 9), ("r44", 7), ("r35", 11)])
+def test_clean_extensions_match_scalar_filter(name, top):
+    # every parent on levels 1..top of the family's search
+    fam = FAMILIES[name]
+    for level in search_levels(name, top):
+        for parent in level.graphs:
+            masks = _clean_extensions(parent, fam)
+            assert masks.dtype == np.uint32
+            assert np.array_equal(masks, clean_extensions_scalar(parent, fam))
+
+
+def test_clean_extensions_on_large_random_parents():
+    # an 8-vertex pattern gives 128-column completion rows; the k = 14 and
+    # 15 parents have more critical 7-subsets than fit in one filter block
+    rng = random.Random(11)
+    pattern = Graph(8, rng.getrandbits(pair_count(8)))
+    fam = ForbiddenFamily([(pattern, "both"), (Graph.complete(6), "red")])
+    for k in range(12, 16):
+        parent = Graph(k, rng.getrandbits(pair_count(k)))
+        masks = _clean_extensions(parent, fam)
+        assert np.array_equal(masks, clean_extensions_scalar(parent, fam))
+        clean = set(masks.tolist())
+        bad = sorted(set(range(1 << k)) - clean)
+        assert clean and bad
+        sample = rng.sample(sorted(clean), 3) + rng.sample(bad, 3)
+        for mask in sample:
+            child = Graph(k + 1, parent.bits | mask << pair_count(k))
+            assert is_forbidden_incremental(child, fam, k) == (mask not in clean)
 
 
 def test_orbit_representatives_are_the_orbit_minima():
@@ -220,6 +273,25 @@ def test_survivor_cap():
     assert partial.verdict["kind"] == "cap-exceeded"
     last = partial.levels[-1]
     assert max(last["kept"], last["count"]) > 10  # pre-dedup kept also counts
+
+
+def test_survivor_cap_stops_the_level_early(monkeypatch):
+    # the capped level must not canonicalize the children of every parent
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return canonical_form(g)
+
+    monkeypatch.setattr(search, "canonical_form", counting)
+    with pytest.raises(SearchCapExceeded) as err:
+        run_search(FAM, 10, SearchOptions(cap=100))
+    last = err.value.report.levels[-1]
+    assert max(last["kept"], last["count"]) > 100
+    capped = calls.count(last["k"])
+    calls.clear()
+    run_search(FAM, last["k"])
+    assert capped < calls.count(last["k"])
 
 
 def test_run_search_validates_arguments():
