@@ -3,9 +3,9 @@
 Level k holds, up to isomorphism, every 2-coloring of K_k with no forbidden
 monochromatic induced subgraph.  Level k+1 is produced by attaching one new
 vertex to each level-k coloring in all 2^k ways, keeping the extensions that
-stay clean, then canonicalizing, deduplicating and sorting.  Any clean
-coloring of K_{k+1} restricts to a clean coloring of K_k, so no survivor is
-missed.
+stay clean, and accepting a child only when it is the canonical extension
+of its class.  Any clean coloring of K_{k+1} restricts to a clean coloring
+of K_k, so no survivor is missed.
 
 The extension filter never re-scans the whole graph.  Per pattern size m,
 in whole numpy arrays, it looks the induced codes of all (m-1)-subsets of
@@ -13,10 +13,16 @@ the parent up among the family's prefix keys to find the "critical" subsets
 (one vertex short of a forbidden pattern), then marks a neighbor mask bad
 when its bits on a critical subset select a completing column.
 
-An automorphism of the parent maps a clean mask to a clean mask whose child
-is isomorphic, so only one mask per orbit, the least, is canonicalized; the
-orbits come from the generators `canonical_form(parent)` returns.  The
-`kept` count of a level still counts every clean mask.
+Each class is made exactly once, by McKay's canonical construction path
+("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Only the
+least clean mask of each orbit under the parent's automorphisms (from the
+generators `canonical_form(parent)` returns) is tried.  A child's designated
+vertex d has the largest (degree, neighbours' degree sum), ties going to the
+largest canonical position, and the child is accepted only when the new
+vertex is in the orbit of d under the child's automorphisms.  Families are
+hereditary, so the child minus d is clean: each class comes from exactly one
+parent and one orbit of its masks.  The `kept` count of a level still
+counts every clean mask.
 
 The test suite checks both emptiness verdicts and per-level class sets
 against a direct enumeration of all labeled colorings (n <= 7) in
@@ -37,7 +43,7 @@ import multiprocessing
 import numpy as np
 
 from .forbidden import ForbiddenFamily, is_forbidden
-from .graphs import Graph, canonical_form, pair_count
+from .graphs import Graph, _bits, _orbit, canonical_form, pair_count
 
 DEFAULT_SURVIVOR_CAP = 50_000_000
 
@@ -210,28 +216,56 @@ def _orbit_representatives(masks: np.ndarray, generators, k: int) -> np.ndarray:
         least = fallen
 
 
-def _expand_chunk(args):
-    """Child codes and the clean-mask count over a run of parents.  Stops
-    early, with the partial counts, once either count passes `cap`."""
+_level_kept = None  # a pool worker's clean-mask counter for the level
+
+
+def _share_level_kept(counter) -> None:
+    """Pool worker initializer: install the level's shared counter."""
+    global _level_kept
+    _level_kept = counter
+
+
+def _expand_chunk(args, level_kept=None):
+    """Accepted child codes and the clean-mask count over a run of parents.
+    Stops early, with the partial counts, once the level's clean-mask count
+    `level_kept` (by default a pool worker's installed one) passes `cap`."""
     parent_codes, k, fam, cap = args
+    level_kept = level_kept or _level_kept
     shift = pair_count(k)
     kept = 0
-    child_codes = set()
+    child_codes = []
     for bits in parent_codes:
         parent = Graph(k, bits)
         masks = _clean_extensions(parent, fam)
         if not masks.size:
             continue
         kept += masks.size
-        if kept > cap:
-            break
-        # an automorphism of the parent maps each child to an isomorphic
-        # one, so one mask per orbit yields every child class
+        with level_kept.get_lock():
+            level_kept.value += masks.size
+            if level_kept.value > cap:
+                break
+        # the new vertex must have the top degree; that holds on whole
+        # orbits of the parent's automorphisms
+        prow = parent.rows()
+        sel = _mask_bits(k)[:, masks]
+        pdeg = np.array([row.bit_count() for row in prow])
+        masks = masks[(sel + pdeg[:, None]).max(axis=0) <= sel.sum(axis=0)]
+        if not masks.size:
+            continue
         generators = canonical_form(parent).generators
         for mask in _orbit_representatives(masks, generators, k).tolist():
-            child_codes.add(canonical_form(Graph(k + 1, bits | mask << shift)).code)
-        if len(child_codes) > cap:
-            break
+            rows = [row | (mask >> u & 1) << k for u, row in enumerate(prow)]
+            rows.append(mask)
+            deg = [row.bit_count() for row in rows]
+            # accept only when k is in the orbit of the designated vertex
+            inv = [(deg[u], sum(deg[w] for w in _bits(rows[u]))) for u in range(k + 1)]
+            if inv[k] < max(inv):
+                continue
+            form = canonical_form(Graph(k + 1, bits | mask << shift))
+            tied = [u for u in range(k + 1) if inv[u] == inv[k]]
+            d = max(tied, key=form.witness.__getitem__)
+            if _orbit(1 << d, form.generators) >> k & 1:
+                child_codes.append(form.code)
     return child_codes, kept
 
 
@@ -248,25 +282,20 @@ def _extend_level_stats(level, fam, jobs, cap=DEFAULT_SURVIVOR_CAP):
         raise ValueError("levels beyond 16 vertices are unsupported")
     parent_codes = level.codes()
     expanded = level.count * (1 << k)
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("q", 0)
     if jobs == 1 or level.count < 2 * jobs:
-        chunks = [parent_codes] if parent_codes else []
-        results = [_expand_chunk((c, k, fam, cap)) for c in chunks]
+        results = [_expand_chunk((parent_codes, k, fam, cap), counter)]
     else:
-        bounds = np.linspace(0, len(parent_codes), jobs + 1).astype(int)
-        chunks = [
-            parent_codes[bounds[i] : bounds[i + 1]]
-            for i in range(jobs)
-            if bounds[i] < bounds[i + 1]
-        ]
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            results = list(pool.map(_expand_chunk, [(c, k, fam, cap) for c in chunks]))
-    codes: set[int] = set()
-    kept = 0
-    for chunk_codes, chunk_kept in results:
-        codes |= chunk_codes
-        kept += chunk_kept
-    graphs = tuple(Graph(k + 1, code) for code in sorted(codes))
+        # round robin, so each worker gets a share of every stretch of the level
+        chunks = [(parent_codes[i::jobs], k, fam, cap) for i in range(jobs)]
+        with ProcessPoolExecutor(jobs, ctx, _share_level_kept, (counter,)) as pool:
+            results = list(pool.map(_expand_chunk, chunks))
+    codes = sorted(code for chunk_codes, _ in results for code in chunk_codes)
+    if any(a == b for a, b in zip(codes, codes[1:])):
+        raise RuntimeError(f"a class of level {k + 1} was generated twice")
+    kept = sum(chunk_kept for _, chunk_kept in results)
+    graphs = tuple(Graph(k + 1, code) for code in codes)
     return FeasibleLevel(k + 1, graphs), expanded, kept
 
 
@@ -316,7 +345,7 @@ def run_search(
             )
         if level.count > 0:
             final = level
-        # a chunk stops once it passes the cap, so these counts are partial
+        # the chunks stop once the level passes the cap: the counts are partial
         if max(kept, level.count) > opts.cap:
             report.verdict = {"kind": "cap-exceeded", "k": level.k}
             raise SearchCapExceeded(report)

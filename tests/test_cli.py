@@ -123,6 +123,25 @@ def test_search_cap_exits_3(capsys, tmp_path):
     assert partial["verdict"]["kind"] == "cap-exceeded"
 
 
+def test_search_cap_holds_across_workers(capsys, tmp_path):
+    # the chunks of a level share one clean-mask count, so with two jobs
+    # level 7 (1,544 clean masks in all) stops soon after passing the cap
+    kept = {}
+    for jobs in ("1", "2"):
+        out_path = tmp_path / f"partial-{jobs}.json"
+        code, _, _ = run_cli(
+            capsys,
+            "search", "--family", "default", "--n", "10", "--jobs", jobs,
+            "--quiet", "--cap", "1417", "--out", str(out_path),
+        )
+        assert code == 3
+        last = json.loads(out_path.read_text())["levels"][-1]
+        assert last["k"] == 7
+        kept[jobs] = last["kept"]
+    assert kept["1"] == 1421
+    assert kept["2"] < 1544
+
+
 @pytest.mark.parametrize(
     "argv", [["--cap", "0"], ["--jobs", "0"]], ids=["argv0-None", "argv1-None"]
 )

@@ -1,7 +1,9 @@
 """Level-by-level search: counts, oracles, determinism, and reporting."""
 
 import hashlib
+import multiprocessing
 import random
+from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +23,7 @@ from champagne.forbidden import (
     is_forbidden_incremental,
     ramsey_family,
 )
-from champagne.graphs import Graph, canonical_form, complement, pair_count
+from champagne.graphs import Graph, canonical_form, complement, pair_count, permute
 from champagne.search import (
     DEFAULT_SURVIVOR_CAP,
     FeasibleLevel,
@@ -54,6 +56,12 @@ def search_levels(name: str, n: int) -> tuple[FeasibleLevel, ...]:
 
 def level_1():
     return FeasibleLevel(1, (Graph(1, 0),))
+
+
+def expand(parent, fam):
+    """Accepted child codes and clean-mask count of one parent."""
+    args = ((parent.bits,), parent.n, fam, DEFAULT_SURVIVOR_CAP)
+    return _expand_chunk(args, multiprocessing.Value("q", 0))
 
 
 def test_extend_level_first_steps():
@@ -114,6 +122,34 @@ def test_monotone_emptiness():
 def test_levels_match_direct_enumeration_small():
     for level in feasible_levels(FAM, 6):
         assert tuple(level.codes()) == brute_force_level_codes(FAM, level.k)
+
+
+# families that are not closed under complement, so a level holds classes
+# whose complements it lacks
+ONE_SIDED = {
+    "r34": R34,
+    "red-K3": ForbiddenFamily([(Graph.complete(3), "red")]),
+    "C5-red-K4-blue": ForbiddenFamily(
+        [(catalog.cycle_graph(5), "red"), (Graph.complete(4), "blue")]
+    ),
+    "random5-red": ForbiddenFamily(
+        [(Graph(5, random.Random(8).getrandbits(pair_count(5))), "red")]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ONE_SIDED)
+def test_levels_match_direct_enumeration_one_sided(name):
+    fam = ONE_SIDED[name]
+    levels = feasible_levels(fam, 7)
+    for level in levels:
+        assert tuple(level.codes()) == brute_force_level_codes(fam, level.k)
+    # a relabeled parent yields the same accepted children
+    rng = random.Random(name)
+    for level in levels[:-1]:
+        for parent in level.graphs:
+            relabeled = permute(parent, rng.sample(range(parent.n), parent.n))
+            assert sorted(expand(relabeled, fam)[0]) == sorted(expand(parent, fam)[0])
 
 
 def test_levels_are_sound_and_complement_closed():
@@ -189,13 +225,19 @@ def test_every_child_canonical_form_is_pinned(every_child):
 
 
 def test_orbit_pruned_expansion_matches_every_mask(every_child):
+    # each class of a level comes from exactly one parent: the per-parent
+    # code lists are disjoint, free of duplicates, and make up every child
     _, fam, parents = every_child
-    for parent, forms in parents:
-        codes, kept = _expand_chunk(
-            ((parent.bits,), parent.n, fam, DEFAULT_SURVIVOR_CAP)
-        )
-        assert kept == len(forms)
-        assert codes == {cf.code for cf in forms}
+    for k in sorted({parent.n for parent, _ in parents}):
+        accepted, every = [], set()
+        for parent, forms in parents:
+            if parent.n == k:
+                codes, kept = expand(parent, fam)
+                assert kept == len(forms)
+                accepted += codes
+                every |= {cf.code for cf in forms}
+        assert len(accepted) == len(set(accepted))
+        assert set(accepted) == every
 
 
 @pytest.mark.parametrize("name, top", [("default", 9), ("r44", 7), ("r35", 11)])
@@ -247,6 +289,18 @@ def test_orbit_representatives_are_the_orbit_minima():
         assert _orbit_representatives(every, generators, g.n).tolist() == least
 
 
+def test_shared_kept_count_loses_no_update():
+    # four workers on fewer cores add to one counter; a lost update would
+    # leave it below the sum of the chunks' own counts
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("q", 0)
+    codes = search_levels("default", 8)[-1].codes()
+    chunks = [(codes[i::4], 8, FAM, DEFAULT_SURVIVOR_CAP) for i in range(4)]
+    with ProcessPoolExecutor(4, ctx, search._share_level_kept, (counter,)) as pool:
+        results = list(pool.map(_expand_chunk, chunks, timeout=120))
+    assert counter.value == sum(kept for _, kept in results) == 668
+
+
 def test_witness_file_and_embedding(tmp_path):
     path = tmp_path / "out.g6"
     rep = run_search(
@@ -272,26 +326,26 @@ def test_survivor_cap():
     partial = err.value.report
     assert partial.verdict["kind"] == "cap-exceeded"
     last = partial.levels[-1]
-    assert max(last["kept"], last["count"]) > 10  # pre-dedup kept also counts
+    assert max(last["kept"], last["count"]) > 10  # kept counts every clean mask
 
 
 def test_survivor_cap_stops_the_level_early(monkeypatch):
-    # the capped level must not canonicalize the children of every parent
+    # the capped level must not expand every parent
     calls = []
 
-    def counting(g):
-        calls.append(g.n)
-        return canonical_form(g)
+    def counting(parent, fam):
+        calls.append(parent.n)
+        return _clean_extensions(parent, fam)
 
-    monkeypatch.setattr(search, "canonical_form", counting)
+    monkeypatch.setattr(search, "_clean_extensions", counting)
     with pytest.raises(SearchCapExceeded) as err:
         run_search(FAM, 10, SearchOptions(cap=100))
     last = err.value.report.levels[-1]
     assert max(last["kept"], last["count"]) > 100
-    capped = calls.count(last["k"])
+    capped = calls.count(last["k"] - 1)
     calls.clear()
     run_search(FAM, last["k"])
-    assert capped < calls.count(last["k"])
+    assert capped < calls.count(last["k"] - 1)
 
 
 def test_run_search_validates_arguments():
