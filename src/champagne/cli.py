@@ -113,6 +113,8 @@ def _catalog_signature_checks():
 
 def cmd_verify_signatures(args) -> int:
     corrupt = (0, 1) if args.selftest_corrupt else None
+    if args.out:  # refuse an unwritable path before sampling
+        _probe_writable(args.out)
     lemmas = []
     for kind in LEMMA_KINDS:
         try:

@@ -2,7 +2,8 @@
 
 The exact route takes a `SymMatrix` of `Fraction` entries, clears
 denominators and computes the characteristic polynomial of the resulting
-integer matrix (Faddeev-LeVerrier, exact integer divisions).  A symmetric
+integer matrix: power sums tr(B^k) from the sparse powers B^0..B^ceil(n/2),
+then Newton's identities with exact integer divisions.  A symmetric
 matrix has only real eigenvalues, so Descartes' sign-variation count on the
 coefficients is not a bound but the exact number of positive roots; with
 the multiplicity of the zero root read off the trailing zero coefficients,
@@ -27,6 +28,7 @@ saying so.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -65,7 +67,10 @@ class SymMatrix:
     """
 
     def __init__(self, rows):
-        self.entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.entries = tuple(
+            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+            for row in rows
+        )
         self.n = n = len(self.entries)
         if any(len(r) != n for r in self.entries):
             raise MatrixError(f"entries are not {n}x{n}")
@@ -107,35 +112,44 @@ class SymMatrix:
 
 
 def _integer_scaled(m: SymMatrix) -> tuple[list[list[int]], int]:
-    lcm = 1
-    for row in m.entries:
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    scaled = [[int(x * lcm) for x in row] for row in m.entries]
+    lcm = math.lcm(*(x.denominator for row in m.entries for x in row))
+    scaled = [
+        [x.numerator * (lcm // x.denominator) for x in row] for row in m.entries
+    ]
     return scaled, lcm
 
 
 def charpoly_int(b: list[list[int]]) -> list[int]:
-    """Coefficients c[0..n] of det(lambda*I - B), c[n] = 1, exact integers."""
+    """Coefficients c[0..n] of det(lambda*I - B), c[n] = 1, exact integers.
+
+    B must be square and symmetric (else `MatrixError`): then the power sums
+    tr(B^k) = <B^(k//2), B^(k-k//2)> need only B^0..B^ceil(n/2), each built
+    row by row from B's nonzero entries, and Newton's identities turn them
+    into the coefficients.
+    """
     n = len(b)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    if any(len(row) != n for row in b):
+        raise MatrixError(f"charpoly_int needs a square matrix, got {n} rows")
+    nonzero = [[(t, x) for t, x in enumerate(row) if x] for row in b]
+    if any(b[t][i] != x for i, row in enumerate(nonzero) for t, x in row):
+        raise MatrixError("charpoly_int needs a symmetric matrix")
+    flat = [[int(i == j) for i in range(n) for j in range(n)]]  # row-major
+    for _ in range((n + 1) // 2):
+        prev, power = flat[-1], []
+        for row in nonzero:
+            acc = [0] * n
+            for t, x in row:
+                acc = [a + x * y for a, y in zip(acc, prev[t * n : t * n + n])]
+            power += acc
+        flat.append(power)
+    p, c = [0], [1]  # p[i] = tr(B^i); c[k] is the coefficient of lambda^(n-k)
     for k in range(1, n + 1):
-        bm = [
-            [sum(b[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        trace = sum(bm[i][i] for i in range(n))
-        if trace % k:
+        p.append(sum(map(operator.mul, flat[k // 2], flat[k - k // 2])))
+        total = sum(c[k - i] * p[i] for i in range(1, k + 1))
+        if total % k:
             raise MatrixError("non-integral characteristic coefficient")
-        ck = -(trace // k)
-        coeffs[n - k] = ck
-        m = [
-            [bm[i][j] + (ck if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-    return coeffs
+        c.append(-(total // k))
+    return c[::-1]
 
 
 def _sign_variations(coeffs) -> int:

@@ -3,7 +3,8 @@
 Each one computes a quantity the program also computes, by a slower and
 more obvious route: all permutations instead of a pruned backtrack, all
 labeled colorings instead of the one-vertex-at-a-time search, Gaussian
-elimination instead of the characteristic polynomial.  They are capped to
+elimination instead of the characteristic polynomial, dense
+Faddeev-LeVerrier instead of sparse power sums.  They are capped to
 small inputs and no command runs them.
 """
 
@@ -266,6 +267,31 @@ def det_bareiss(m: SymMatrix) -> Fraction:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return Fraction(sign * a[n - 1][n - 1], lcm**n)
+
+
+def charpoly_faddeev(b: list[list[int]]) -> list[int]:
+    """Coefficients c[0..n] of det(lambda*I - B), c[n] = 1, by dense
+    Faddeev-LeVerrier: M_k = B M_{k-1} + c[n-k+1] I, c[n-k] = -tr(B M_{k-1})/k.
+    Any square integer matrix, symmetric or not."""
+    n = len(b)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        bm = [
+            [sum(b[i][t] * m[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        trace = sum(bm[i][i] for i in range(n))
+        if trace % k:
+            raise MatrixError("non-integral characteristic coefficient")
+        ck = -(trace // k)
+        coeffs[n - k] = ck
+        m = [
+            [bm[i][j] + (ck if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+    return coeffs
 
 
 def cycle_eigenvalues(n: int) -> list[float]:

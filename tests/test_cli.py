@@ -260,6 +260,18 @@ def test_verify_signatures_report_bytes(capsys, tmp_path, argv, exit_code, diges
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
+def test_verify_signatures_checks_out_before_sampling(capsys, tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("verify_pattern_lemma called despite an unwritable --out")
+
+    monkeypatch.setattr("champagne.signature.verify_pattern_lemma", no_sampling)
+    path = tmp_path / "missing" / "sig.json"
+    code, out, err = run_cli(capsys, "verify-signatures", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error:")
+
+
 def test_verify_signatures_rejects_bad_trials(capsys):
     code, _, _ = run_cli(capsys, "verify-signatures", "--trials", "0")
     assert code == 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from champagne import catalog
+from champagne import catalog, signature
 from champagne.signature import (
     H7_SIGNATURE,
     MatrixError,
@@ -23,8 +23,9 @@ from champagne.signature import (
     signature_exact,
     signature_of_array,
     verify_pattern_lemma,
+    _integer_scaled,
 )
-from oracles import cycle_eigenvalues, det_bareiss
+from oracles import charpoly_faddeev, cycle_eigenvalues, det_bareiss
 
 
 def symmetric_int_matrix(rng, n, lo=-5, hi=5):
@@ -40,6 +41,54 @@ def test_charpoly_known_values():
     # det(lambda I - [[0,1],[1,0]]) = lambda^2 - 1
     assert charpoly_int([[0, 1], [1, 0]]) == [-1, 0, 1]
     assert charpoly_int([[1, 0], [0, 1]]) == [1, -2, 1]
+
+
+def test_charpoly_rejects_non_symmetric_input():
+    # [[0, 2], [0, 0]] has integral power-sum coefficients, so only the
+    # symmetry check can refuse it
+    for rows in ([[0, 1], [0, 0]], [[0, 2], [0, 0]]):
+        with pytest.raises(MatrixError, match="symmetric"):
+            charpoly_int(rows)
+    for rows in ([[1, 2], [3]], [[1, 2]]):
+        with pytest.raises(MatrixError, match="square"):
+            charpoly_int(rows)
+
+
+def test_charpoly_matches_faddeev_on_random_matrices(rng):
+    for _ in range(1000):
+        n = rng.randint(0, 10)
+        bound = rng.choice((1, 5, 1 << 20))
+        density = rng.choice((0.0, 0.2, 0.5, 1.0))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                if rng.random() < density:
+                    rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+        assert charpoly_int(rows) == charpoly_faddeev(rows), rows
+
+
+def test_charpoly_matches_faddeev_on_catalog():
+    for name, g in catalog.CATALOG.items():
+        rows, _ = _integer_scaled(SymMatrix.adjacency(g))
+        assert charpoly_int(rows) == charpoly_faddeev(rows), name
+
+
+@pytest.mark.parametrize("kind", ["cycle(5)", "cycle(7)", "cycle(9)", "h7"])
+def test_exact_route_matches_oracles_on_lemma_samples(kind, monkeypatch):
+    samples = []
+    checked = signature.check_sample
+
+    def recorded(m, kind):
+        samples.append(m)
+        return checked(m, kind)
+
+    monkeypatch.setattr(signature, "check_sample", recorded)
+    assert verify_pattern_lemma(kind, trials=250, seed=0).passed
+    assert len(samples) == 250
+    for m in samples:
+        rows, _ = _integer_scaled(m)
+        assert charpoly_int(rows) == charpoly_faddeev(rows)
+        assert det_exact(m) == det_bareiss(m)
 
 
 def as_array(m: SymMatrix) -> np.ndarray:
@@ -219,8 +268,6 @@ def test_check_sample_accepts_valid_h7(rng):
 
 
 def test_check_sample_takes_one_characteristic_polynomial(rng, monkeypatch):
-    from champagne import signature
-
     calls = []
 
     def counted(b):
