@@ -12,6 +12,7 @@ input configuration, 2 unusable input (parse errors, bad arguments) or an
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -236,7 +237,9 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; it holds no stream or per-call state."""
     parser = argparse.ArgumentParser(
         prog="champagne",
         description=(
@@ -285,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-lower-bound",
                        help="emit 2n-2 pairwise unit-distance lines in R^n")
-    p.add_argument("--dim", type=int, required=True, help="ambient dimension n >= 3")
+    p.add_argument("--dim", type=int, required=True,
+                   help=f"ambient dimension 3 <= n <= {geometry.MAX_LOWER_BOUND_DIM}")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_gen_lower_bound)
 

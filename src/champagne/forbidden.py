@@ -6,6 +6,10 @@ subgraph of the coloring, "blue" forbids it in the complement, "both"
 forbids either.  Patterns are small (2..8 vertices), so each entry is
 compiled to the set of edge-bitset codes of all its labeled copies; an
 induced-containment test is then subset enumeration plus set membership.
+The copies come from whole-array numpy steps over the n! x n table of
+vertex orders, one pass per pattern edge.  Relabeling commutes with
+complementing, so an entry's blue copies are its red copies XOR the full
+mask; the complement is never enumerated.
 
 For the level-by-level search, `completions[m]` splits each bad code into
 its prefix (bits among the first m-1 vertices; the slot order groups pairs
@@ -18,13 +22,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
 from . import catalog
-from .graphs import Graph, complement, induced_code, pair_count, permute
+from .graphs import Graph, induced_code, pair_count
 
 SCOPES = ("both", "red", "blue")
 
@@ -35,11 +40,25 @@ class FamilyError(ValueError):
 
 @lru_cache(maxsize=256)
 def labeled_copies(pattern: Graph) -> frozenset[int]:
-    """Edge bitsets of every relabeling of `pattern` on its own vertex set."""
-    return frozenset(
-        permute(pattern, perm).bits
-        for perm in itertools.permutations(range(pattern.n))
-    )
+    """Edge bitsets of every relabeling of `pattern` on its own vertex set.
+
+    Row r of the n! x n uint32 table is the r-th vertex order.  Each edge
+    {u, v} maps to slot hi*(hi-1)/2 + lo of its images in every row at
+    once, and its bit is ORed into one uint32 code per row (28 slots at
+    n = 8 fit), so no per-order Python loop runs.
+    """
+    n = pattern.n
+    if n > 8:
+        raise ValueError(f"labeled copies need at most 8 vertices, got {n}")
+    count = math.factorial(n)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    orders = np.fromiter(flat, dtype=np.uint32, count=count * n).reshape(count, n)
+    codes = np.zeros(count, dtype=np.uint32)
+    for u, v in pattern.edges():
+        hi = np.maximum(orders[:, u], orders[:, v])
+        lo = np.minimum(orders[:, u], orders[:, v])
+        codes |= np.uint32(1) << (hi * (hi - 1) // 2 + lo)
+    return frozenset(codes.tolist())
 
 
 class ForbiddenFamily:
@@ -59,10 +78,12 @@ class ForbiddenFamily:
         bad: dict[int, set[int]] = {}
         for g, scope in entries:
             codes = bad.setdefault(g.n, set())
+            copies = labeled_copies(g)
             if scope in ("red", "both"):
-                codes |= labeled_copies(g)
+                codes |= copies
             if scope in ("blue", "both"):
-                codes |= labeled_copies(complement(g))
+                full = (1 << pair_count(g.n)) - 1
+                codes |= {c ^ full for c in copies}
         self.bad_codes = {m: frozenset(c) for m, c in sorted(bad.items())}
         self.sizes = tuple(sorted(self.bad_codes))
         self.completions: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -402,8 +402,11 @@ def _unit_simplex(m: int) -> np.ndarray:
     return (points - points[0]) @ basis
 
 
+MAX_LOWER_BOUND_DIM = 512
+
+
 def lower_bound_config(n: int) -> LineConfig:
-    """2n-2 pairwise unit-distance lines in R^n.
+    """2n-2 pairwise unit-distance lines in R^n, for 3 <= n <= 512.
 
     Take the n-1 vertices of a unit simplex in R^(n-2); over vertex i put
     two parallel planar lines at distance 1 with direction angle
@@ -411,8 +414,10 @@ def lower_bound_config(n: int) -> LineConfig:
     lines over different vertices have directions spanning the whole plane
     factor, so their distance collapses to the simplex edge length 1.
     """
-    if n < 3:
-        raise GeometryError("the construction needs dimension n >= 3")
+    if not 3 <= n <= MAX_LOWER_BOUND_DIM:
+        raise GeometryError(
+            f"the construction needs dimension 3 <= n <= {MAX_LOWER_BOUND_DIM}, got {n}"
+        )
     m = n - 1
     simplex = _unit_simplex(m)
     lines = []

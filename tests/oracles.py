@@ -1,11 +1,11 @@
 """Independent oracles the tests check the program against.
 
 Each one computes a quantity the program also computes, by a slower and
-more obvious route: all permutations instead of a pruned backtrack, all
-labeled colorings instead of the one-vertex-at-a-time search, Gaussian
-elimination instead of the characteristic polynomial, dense
-Faddeev-LeVerrier instead of sparse power sums.  They are capped to
-small inputs and no command runs them.
+more obvious route: all permutations instead of a pruned backtrack or a
+numpy table of vertex orders, all labeled colorings instead of the
+one-vertex-at-a-time search, Gaussian elimination instead of the
+characteristic polynomial, dense Faddeev-LeVerrier instead of sparse power
+sums.  They are capped to small inputs and no command runs them.
 """
 
 import itertools
@@ -15,10 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from champagne.forbidden import ForbiddenFamily, labeled_copies
+from champagne.forbidden import ForbiddenFamily
 from champagne.geometry import DirectedLine, GeometryError, LineConfig
 from champagne.graphs import (CanonicalForm, Graph, GraphError, _lex_to_bits,
-                              canonical_form, induced_code, pair_count, pair_slot)
+                              canonical_form, induced_code, pair_count, pair_slot,
+                              permute)
 from champagne.signature import MatrixError, SymMatrix, _integer_scaled
 
 # -- graphs ------------------------------------------------------------------
@@ -114,12 +115,21 @@ def canonical_form_bruteforce(g: Graph) -> CanonicalForm:
     return CanonicalForm(_lex_to_bits(best_lex, g.n), tuple(witness))
 
 
+@lru_cache(maxsize=64)
+def labeled_copies_by_permutation(pattern: Graph) -> frozenset[int]:
+    """forbidden.labeled_copies, one `permute` call per vertex order."""
+    return frozenset(
+        permute(pattern, perm).bits
+        for perm in itertools.permutations(range(pattern.n))
+    )
+
+
 def contains_induced(g: Graph, pattern: Graph) -> bool:
     """Does g contain an induced subgraph isomorphic to `pattern`?"""
     m = pattern.n
     if m > g.n:
         return False
-    codes = labeled_copies(pattern)
+    codes = labeled_copies_by_permutation(pattern)
     rows = g.rows()
     return any(
         induced_code(rows, subset) in codes

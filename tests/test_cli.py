@@ -446,6 +446,12 @@ def test_gen_lower_bound_rejects_dim_2(capsys):
     assert run_cli(capsys, "gen-lower-bound", "--dim", "2")[0] == 2
 
 
+def test_gen_lower_bound_rejects_dim_above_the_cap(capsys):
+    code, out, err = run_cli(capsys, "gen-lower-bound", "--dim", "513")
+    assert (code, out) == (2, "")
+    assert "512" in err
+
+
 def test_check_lines_full_mode_requires_r3(capsys, tmp_path, monkeypatch):
     import io
 

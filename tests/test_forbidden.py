@@ -1,8 +1,10 @@
 """Forbidden-family compilation and induced-containment checks."""
 
+import hashlib
 import itertools
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from champagne.graphs import (
     permute,
 )
 from conftest import graphs, isomorphic_by_permutations, random_graph
-from oracles import contains_induced, path_graph
+from oracles import contains_induced, labeled_copies_by_permutation, path_graph
 
 FAM = default_family()
 
@@ -223,3 +225,71 @@ def test_labeled_copies_closed_under_relabeling(rng):
     for _ in range(20):
         perm = rng.sample(range(5), 5)
         assert permute(g, perm).bits in codes
+
+
+def copy_oracle_graphs(n):
+    """Catalog graphs on n vertices and their complements, the edgeless and
+    complete graphs (no edge and every edge), and two seeded random graphs."""
+    rng = random.Random(n)
+    found = [g for g in catalog.CATALOG.values() if g.n == n]
+    found += [complement(g) for g in found]
+    found += [Graph.empty(n), Graph.complete(n)]
+    found += [random_graph(rng, n) for _ in range(2)]
+    return list(dict.fromkeys(found))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_labeled_copies_match_permutation_oracle(n):
+    for g in copy_oracle_graphs(n):
+        expected = labeled_copies_by_permutation(g)
+        assert labeled_copies(g) == expected
+        # the blue scope XORs the red copies with the full mask
+        blue = ForbiddenFamily([(complement(g), "blue")]).bad_codes[n]
+        assert blue == expected
+
+
+def test_labeled_copies_reject_more_than_eight_vertices():
+    with pytest.raises(ValueError):
+        labeled_copies(Graph.complete(9))
+
+
+def family_digest(fam):
+    """sha256 of the sorted bad codes per pattern size."""
+    text = json.dumps(
+        {str(m): sorted(codes) for m, codes in fam.bad_codes.items()}, sort_keys=True
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def eight_vertex_family():
+    return ForbiddenFamily(
+        [(catalog.get("K8-H7"), "both"), (catalog.get("K7-C5"), "both")]
+    )
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (default_family,
+         "d5e59f0cda00fcba8ddfae78d9f4098166bf669f4a37502e7d73e088ef8035d3"),
+        (lambda: ramsey_family(3, 4),
+         "30c0a7e867dc6a7a2e9e4c906b82fb5ab251730463c064ee6f83fe69cd1160c1"),
+        (lambda: ramsey_family(4, 4),
+         "384f7d2bfd0e801c7c672e4845d80682001647199da34dd3432fcd4cc4761c04"),
+        (eight_vertex_family,
+         "8bef5aa79dbd60a8ddc01eb3d49124b6ca917174efcd35ec6807744125e6d06e"),
+    ],
+    ids=["default", "r34", "r44", "K8-H7+K7-C5"],
+)
+def test_compiled_family_digests(build, digest):
+    # taken from the one-permute-per-vertex-order compile
+    assert family_digest(build()) == digest
+
+
+def test_eight_vertex_family_compiles_fast():
+    # 8! orders of K8-H7 plus 7! of K7-C5, both colors, from a cold cache
+    labeled_copies.cache_clear()
+    start = time.perf_counter()
+    fam = eight_vertex_family()
+    assert time.perf_counter() - start < 0.3
+    assert {m: len(c) for m, c in fam.bad_codes.items()} == {7: 504, 8: 13440}

@@ -11,6 +11,7 @@ from champagne.geometry import (
     GeometryError,
     InvalidConfigError,
     LineConfig,
+    MAX_LOWER_BOUND_DIM,
     are_parallel,
     check_realization,
     chirality_graph,
@@ -347,6 +348,12 @@ def test_lower_bound_config(n):
 def test_lower_bound_config_rejects_small_dim():
     with pytest.raises(GeometryError):
         lower_bound_config(2)
+
+
+def test_lower_bound_config_rejects_dim_above_the_cap():
+    # refused before the (n-1) x (n-1) simplex is built
+    with pytest.raises(GeometryError):
+        lower_bound_config(MAX_LOWER_BOUND_DIM + 1)
 
 
 def test_config_json_round_trip(tmp_path):
