@@ -21,6 +21,7 @@ from importlib import resources
 from . import catalog, geometry, signature
 from .forbidden import FamilyError, default_family, load_family, ramsey_family
 from .graphs import GraphError, canonical_form
+from .jsonout import dumps
 from .search import (
     DEFAULT_SURVIVOR_CAP,
     SearchCapExceeded,
@@ -44,13 +45,13 @@ def _resolve_family(spec: str):
 
 
 def _emit(obj, out: str | None) -> None:
-    _write(json.dumps(obj, indent=2, sort_keys=True), out)
+    _write(dumps(obj), out)
 
 
 def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
     else:
         print(text)
 

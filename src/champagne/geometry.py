@@ -46,9 +46,7 @@ class InvalidConfigError(GeometryError):
     pass
 
 
-def _is_number(x) -> bool:
-    """A JSON number: int or float, not bool."""
-    return type(x) in (int, float)
+_NUMBER_TYPES = frozenset((int, float))  # JSON numbers; bool is not one
 
 
 @dataclass(frozen=True)
@@ -91,18 +89,22 @@ class DirectedLine:
         return DirectedLine(self.base, -self.direction)
 
     def to_json_obj(self) -> dict:
-        return {"base": list(map(float, self.base)),
-                "dir": list(map(float, self.direction))}
+        return {"base": self.base.tolist(), "dir": self.direction.tolist()}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DirectedLine":
         if not isinstance(obj, dict) or not all(
-            isinstance(obj.get(key), list) and all(map(_is_number, obj[key]))
+            isinstance(obj.get(key), list)
+            and _NUMBER_TYPES.issuperset(map(type, obj[key]))
             for key in ("base", "dir")
         ):
             raise GeometryError("line JSON needs 'base' and 'dir' lists of numbers")
-        return cls(np.array(obj["base"], dtype=float),
-                   np.array(obj["dir"], dtype=float))
+        try:
+            base = np.array(obj["base"], dtype=float)
+            direction = np.array(obj["dir"], dtype=float)
+        except OverflowError:  # an int beyond float64
+            raise GeometryError("base and direction must be finite") from None
+        return cls(base, direction)
 
 
 @dataclass(frozen=True)
@@ -146,14 +148,22 @@ class LineConfig:
             raise GeometryError("config JSON needs 'dim' and 'lines'")
         dim, lines = obj["dim"], obj["lines"]
         tolerance = obj.get("tolerance", DISTANCE_TOL)
-        if not (type(dim) is int and isinstance(lines, list) and _is_number(tolerance)):
+        if not (
+            type(dim) is int
+            and isinstance(lines, list)
+            and type(tolerance) in _NUMBER_TYPES
+        ):
             raise GeometryError(
                 "config 'dim' must be an integer, 'lines' a list, 'tolerance' a number"
             )
+        try:
+            tolerance = float(tolerance)
+        except OverflowError:  # an int beyond float64
+            raise GeometryError("tolerance must be finite and positive") from None
         return cls(
             dim,
             tuple(DirectedLine.from_json_obj(entry) for entry in lines),
-            float(tolerance),
+            tolerance,
         )
 
 
@@ -265,17 +275,24 @@ def config_report(cfg: LineConfig) -> ConfigReport:
     # outside R^3 a non-parallel pair is coplanar only when the lines meet
     flat = distance if volume is None else np.abs(volume[vs, ws])
     coplanar = parallel | (flat <= DEGENERATE_TOL)
-    signs = [None] * len(vs) if volume is None else np.sign(volume[vs, ws])
+    signs = (
+        [None] * len(vs)
+        if volume is None
+        else np.sign(volume[vs, ws]).astype(int).tolist()
+    )
     entries = [
         {
-            "v": int(v),
-            "w": int(w),
-            "distance": float(d),
-            "parallel": bool(p),
-            "coplanar": bool(c),
-            "chirality": None if c or s is None else int(s),
+            "v": v,
+            "w": w,
+            "distance": d,
+            "parallel": p,
+            "coplanar": c,
+            "chirality": None if c else s,
         }
-        for v, w, d, p, c, s in zip(vs, ws, distance, parallel, coplanar, signs)
+        for v, w, d, p, c, s in zip(
+            vs.tolist(), ws.tolist(), distance.tolist(), parallel.tolist(),
+            coplanar.tolist(), signs,
+        )
     ]
     return ConfigReport(
         cfg.dim,

@@ -32,7 +32,6 @@ tests/oracles.py.
 from __future__ import annotations
 
 import itertools
-import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,6 +43,7 @@ import numpy as np
 
 from .forbidden import ForbiddenFamily, is_forbidden
 from .graphs import Graph, _bits, _orbit, canonical_form, pair_count
+from .jsonout import dumps
 
 DEFAULT_SURVIVOR_CAP = 50_000_000
 
@@ -136,7 +136,7 @@ class SearchReport:
         return obj
 
     def to_json(self, with_timing: bool = True) -> str:
-        return json.dumps(self.to_json_obj(with_timing), indent=2, sort_keys=True)
+        return dumps(self.to_json_obj(with_timing))
 
 
 @lru_cache(maxsize=None)

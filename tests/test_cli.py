@@ -390,8 +390,15 @@ def test_check_lines_rejects_bad_tolerance(capsys, tmp_path):
         {"dim": 3, "lines": [], "tolerance": None},
         {"dim": 1, "lines": []},
         {"dim": 3.7, "lines": []},
+        # integers past float64's range are not finite numbers
+        {"dim": 3, "lines": [{"base": [10**400, 0, 0], "dir": [1, 0, 0]}]},
+        {"dim": 3, "lines": [{"base": [0, 0, 0], "dir": [10**400, 0, 0]}]},
+        {"dim": 3, "lines": [], "tolerance": 10**400},
     ],
-    ids=["lines-not-a-list", "tolerance-null", "dim-1", "dim-not-integer"],
+    ids=[
+        "lines-not-a-list", "tolerance-null", "dim-1", "dim-not-integer",
+        "base-huge-int", "dir-huge-int", "tolerance-huge-int",
+    ],
 )
 def test_check_lines_rejects_malformed_config(capsys, monkeypatch, config):
     import io
@@ -399,7 +406,8 @@ def test_check_lines_rejects_malformed_config(capsys, monkeypatch, config):
     for extra in ([], ["--distances-only"]):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
         code, out, err = run_cli(capsys, "check-lines", "-", *extra)
-        assert code == 2 and out == "" and "error" in err
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 def test_check_lines_parse_error(capsys, tmp_path):

@@ -109,6 +109,10 @@ def test_all_pairs_match_scalar_loop(dim):
         cfg = LineConfig(dim, tuple(lines))
         report = config_report(cfg)
         for pair in report.pairs:
+            # plain Python scalars, never numpy ones (json cannot write np.int64)
+            scalars = [pair[k] for k in ("v", "w", "distance", "parallel", "coplanar")]
+            assert list(map(type, scalars)) == [int, int, float, bool, bool]
+            assert pair["chirality"] is None or type(pair["chirality"]) is int
             a, b = cfg.lines[pair["v"]], cfg.lines[pair["w"]]
             distance, parallel, volume = scalar_pair(a, b)
             assert pair["distance"] == pytest.approx(distance, abs=1e-12)
