@@ -194,17 +194,16 @@ def cmd_check_lines(args) -> int:
         "valid": False,
     }
     if not report.valid:
-        for pair in report.pairs:
-            if pair["parallel"] or abs(pair["distance"] - 1.0) > cfg.tolerance:
-                print(
-                    f"bad pair ({pair['v']},{pair['w']}): distance="
-                    f"{pair['distance']:.6g} parallel={pair['parallel']}",
-                    file=sys.stderr,
-                )
+        for pair in report.flagged(report.stray | report.parallel):
+            print(
+                f"bad pair ({pair['v']},{pair['w']}): distance="
+                f"{pair['distance']:.6g} parallel={pair['parallel']}",
+                file=sys.stderr,
+            )
         _emit(result, args.out)
         return 1
     try:
-        realization = geometry.check_realization(cfg)
+        realization = geometry.check_realization(report)
     except geometry.GeometryError as exc:
         result["error"] = str(exc)
         print(f"error: {exc}", file=sys.stderr)

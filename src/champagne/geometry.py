@@ -14,14 +14,14 @@ where the chirality is +1, and a symmetric matrix a_vw =
 negative eigenvalues, |a| of signature (1, n-1)) are checked numerically
 here.  The matrix is a Gram matrix of the 6-vectors (y_v cross x_v, x_v)
 under the split form of signature (3,3), which is where the eigenvalue
-bound comes from.  Every pair quantity comes from one kernel, `_pair_row`.
+bound comes from.  Each pair is measured and judged once, in `config_report`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,53 +201,60 @@ def _pair_row(y, x, ys, xs):
     return distance, parallel, volume
 
 
-def _pair(a: DirectedLine, b: DirectedLine):
-    if a.dim != b.dim:
-        raise GeometryError("lines of different dimensions")
-    return _pair_row(a.base, a.direction, b.base[None], b.direction[None])
-
-
 def are_parallel(a: DirectedLine, b: DirectedLine) -> bool:
-    return bool(_pair(a, b)[1][0])
+    return config_report(LineConfig(a.dim, (a, b))).has_parallel
 
 
 def line_distance(a: DirectedLine, b: DirectedLine) -> float:
     """Minimal distance between the two lines, any dimension."""
-    return float(_pair(a, b)[0][0])
+    return config_report(LineConfig(a.dim, (a, b))).pairs[0]["distance"]
 
 
 def _pairs(cfg: LineConfig):
-    """The row kernel's outputs for every pair, as symmetric n x n arrays;
-    one row at a time keeps the temporaries at O(n * dim)."""
+    """The row kernel's distances and parallel flags in the upper triangle of
+    n x n arrays, and in R^3 the signed volumes as the symmetric orientation
+    matrix; one row at a time keeps the temporaries at O(n * dim)."""
     n = len(cfg)
     ys = np.array([ln.base for ln in cfg.lines])
     xs = np.array([ln.direction for ln in cfg.lines])
-    distance, volume = np.zeros((n, n)), np.zeros((n, n))
-    parallel = np.zeros((n, n), dtype=bool)
+    distance, parallel = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
+    volume = np.zeros((n, n)) if cfg.dim == 3 else None
     for v in range(n - 1):
         d, p, vol = _pair_row(ys[v], xs[v], ys[v + 1:], xs[v + 1:])
         distance[v, v + 1:], parallel[v, v + 1:] = d, p
         if vol is not None:
             volume[v, v + 1:] = vol
-    volume = volume + volume.T if cfg.dim == 3 else None
-    return distance + distance.T, parallel | parallel.T, volume
+    return distance, parallel, None if volume is None else volume + volume.T
 
 
-@dataclass
+@dataclass(eq=False)
 class ConfigReport:
-    """Per-pair diagnostics for a line configuration."""
+    """Per-pair diagnostics for a line configuration; `to_json_obj` leaves
+    out the per-pair flags `stray` and `parallel` and the R^3 `matrix`."""
 
     dim: int
     count: int
     tolerance: float
-    pairs: list = field(default_factory=list)
-    distances_ok: bool = True
-    has_parallel: bool = False
-    has_coplanar: bool = False
+    pairs: list
+    stray: np.ndarray
+    parallel: np.ndarray
+    has_coplanar: bool
+    matrix: np.ndarray | None
+
+    @property
+    def distances_ok(self) -> bool:
+        return not self.stray.any()
+
+    @property
+    def has_parallel(self) -> bool:
+        return bool(self.parallel.any())
 
     @property
     def valid(self) -> bool:
         return self.distances_ok and not self.has_parallel
+
+    def flagged(self, flags: np.ndarray) -> list:
+        return [self.pairs[i] for i in np.flatnonzero(flags)]
 
     def to_json_obj(self) -> dict:
         return {
@@ -269,17 +276,14 @@ def config_report(cfg: LineConfig) -> ConfigReport:
     Validity requires every pairwise distance within tolerance of 1 and no
     parallel pair.
     """
-    distance, parallel, volume = _pairs(cfg)
+    distance, parallel, matrix = _pairs(cfg)
     vs, ws = np.triu_indices(len(cfg), 1)
     distance, parallel = distance[vs, ws], parallel[vs, ws]
+    volume = None if matrix is None else matrix[vs, ws]
     # outside R^3 a non-parallel pair is coplanar only when the lines meet
-    flat = distance if volume is None else np.abs(volume[vs, ws])
+    flat = distance if volume is None else np.abs(volume)
     coplanar = parallel | (flat <= DEGENERATE_TOL)
-    signs = (
-        [None] * len(vs)
-        if volume is None
-        else np.sign(volume[vs, ws]).astype(int).tolist()
-    )
+    signs = [None] * len(vs) if volume is None else np.sign(volume).astype(int).tolist()
     entries = [
         {
             "v": v,
@@ -299,9 +303,10 @@ def config_report(cfg: LineConfig) -> ConfigReport:
         len(cfg),
         cfg.tolerance,
         entries,
-        distances_ok=bool(np.all(np.abs(distance - 1.0) <= cfg.tolerance)),
-        has_parallel=bool(parallel.any()),
+        stray=np.abs(distance - 1.0) > cfg.tolerance,
+        parallel=parallel,
         has_coplanar=bool(coplanar.any()),
+        matrix=matrix,
     )
 
 
@@ -317,30 +322,30 @@ def chirality_graph(cfg: LineConfig) -> tuple[Graph, ConfigReport]:
     return Graph.from_edges(len(cfg), edges), report
 
 
-def _orientation_matrix(parallel: np.ndarray, volume: np.ndarray) -> np.ndarray:
-    """The signed volumes as the orientation matrix, refused for a parallel pair."""
-    found = np.argwhere(np.triu(parallel))
-    if len(found):
-        v, w = found[0]
+def _refuse_parallel(report: ConfigReport) -> None:
+    """The orientation matrix is undefined when a pair is parallel."""
+    found = report.flagged(report.parallel)
+    if found:
+        v, w = found[0]["v"], found[0]["w"]
         raise DegeneratePairError(
             f"lines {v} and {w} are parallel; orientation matrix undefined"
         )
-    return volume
 
 
 def t_matrix(cfg: LineConfig) -> np.ndarray:
     """The pairwise orientation matrix a_vw = <x_v cross x_w, y_v - y_w>."""
     if cfg.dim != 3:
         raise GeometryError("the orientation matrix is defined only in R^3")
-    _, parallel, volume = _pairs(cfg)
-    return _orientation_matrix(parallel, volume)
+    report = config_report(cfg)
+    _refuse_parallel(report)
+    return report.matrix
 
 
 @dataclass
 class RealizationReport:
     count: int
     max_distance_deviation: float
-    properties: dict = field(default_factory=dict)
+    properties: dict
 
     @property
     def passed(self) -> bool:
@@ -355,56 +360,51 @@ class RealizationReport:
         }
 
 
-def check_realization(cfg: LineConfig) -> RealizationReport:
+def check_realization(report: ConfigReport) -> RealizationReport:
     """Check the four numeric constraints a unit-distance realization must
     satisfy: off-diagonal entries nonzero, sign pattern equal to the
     chirality graph, at most 3 negative eigenvalues, and |a| of signature
-    (1, n-1).  Raises InvalidConfigError when distances stray from 1."""
-    if cfg.dim != 3:
+    (1, n-1).  Raises from the report's verdict: InvalidConfigError for a
+    stray distance, then DegeneratePairError for a parallel pair."""
+    if report.matrix is None:
         raise GeometryError("realization checks are defined only in R^3")
-    n = len(cfg)
+    n = report.count
     if n < 2:
         raise GeometryError("realization checks need at least 2 lines")
-    distance, parallel, volume = _pairs(cfg)
-    deviation = np.triu(np.abs(distance - 1.0), 1)
-    stray = np.argwhere(deviation > cfg.tolerance)
-    if len(stray):
-        v, w = stray[0]
+    if not report.distances_ok:
+        pair = report.flagged(report.stray)[0]
         raise InvalidConfigError(
-            f"lines {v} and {w} at distance {distance[v, w]}, "
-            f"not 1 within {cfg.tolerance}"
+            f"lines {pair['v']} and {pair['w']} at distance {pair['distance']}, "
+            f"not 1 within {report.tolerance}"
         )
-    matrix = _orientation_matrix(parallel, volume)
-    report = RealizationReport(n, float(deviation.max()))
-
-    offdiag = np.abs(matrix[~np.eye(n, dtype=bool)])
-    margin = float(offdiag.min()) if offdiag.size else math.inf
-    report.properties["offdiagonal_nonzero"] = {
-        "passed": bool(margin > DEGENERATE_TOL),
-        "min_abs_entry": margin,
-    }
-
+    _refuse_parallel(report)
+    matrix = report.matrix
+    margin = float(np.abs(matrix[~np.eye(n, dtype=bool)]).min())
     # a positive entry within the coplanarity tolerance carries no edge
     edgeless = (matrix > 0) & (matrix <= DEGENERATE_TOL)
     mismatches = np.argwhere(np.triu(edgeless))
-    report.properties["sign_pattern_matches_chirality"] = {
-        "passed": not len(mismatches),
-        "mismatched_pairs": [(int(v), int(w)) for v, w in mismatches],
-    }
-
     sig_t = signature_of_array(matrix)
-    report.properties["at_most_3_negative_eigenvalues"] = {
-        "passed": sig_t.n_minus <= 3,
-        "signature": list(sig_t),
-    }
-
     sig_abs = signature_of_array(np.abs(matrix))
-    report.properties["abs_matrix_signature"] = {
-        "passed": sig_abs == (1, 0, n - 1),
-        "signature": list(sig_abs),
-        "expected": [1, 0, n - 1],
-    }
-    return report
+    deviation = max(abs(pair["distance"] - 1.0) for pair in report.pairs)
+    return RealizationReport(n, deviation, {
+        "offdiagonal_nonzero": {
+            "passed": bool(margin > DEGENERATE_TOL),
+            "min_abs_entry": margin,
+        },
+        "sign_pattern_matches_chirality": {
+            "passed": not len(mismatches),
+            "mismatched_pairs": [(int(v), int(w)) for v, w in mismatches],
+        },
+        "at_most_3_negative_eigenvalues": {
+            "passed": sig_t.n_minus <= 3,
+            "signature": list(sig_t),
+        },
+        "abs_matrix_signature": {
+            "passed": sig_abs == (1, 0, n - 1),
+            "signature": list(sig_abs),
+            "expected": [1, 0, n - 1],
+        },
+    })
 
 
 # -- equidistant family in higher dimensions ---------------------------------

@@ -145,7 +145,7 @@ def test_criterion_07_cone_identities(capsys):
 
 def test_criterion_08_bundled_three_line_realization(capsys):
     cfg = geometry.load_config(cli.bundled_path("three_lines.json"))
-    rep = geometry.check_realization(cfg)
+    rep = geometry.check_realization(geometry.config_report(cfg))
     props = rep.properties
     ok = (
         rep.passed

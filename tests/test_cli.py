@@ -432,6 +432,38 @@ def test_check_lines_distance_failure(capsys, tmp_path):
     assert not json.loads(out)["valid"]
 
 
+@requires_jsonschema
+@pytest.mark.parametrize("count", [0, 1])
+def test_check_lines_full_mode_needs_two_lines(capsys, tmp_path, count):
+    cfg = {"dim": 3, "lines": [{"base": [0, 0, 0], "dir": [1, 0, 0]}][:count]}
+    path = tmp_path / "few.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "check-lines", str(path))
+    assert code == 1
+    assert err == "error: realization checks need at least 2 lines\n"
+    report = json.loads(out)
+    jsonschema.validate(report, schema("line_report.schema.json"))
+    assert report["error"] == "realization checks need at least 2 lines"
+    assert report["realization"] is None and not report["valid"]
+    assert report["config"]["valid"] and report["config"]["count"] == count
+
+
+def test_check_lines_full_mode_makes_one_pair_pass(capsys, monkeypatch):
+    from champagne import geometry
+
+    calls = []
+    row = geometry._pair_row
+
+    def counted(*args):
+        calls.append(1)
+        return row(*args)
+
+    monkeypatch.setattr(geometry, "_pair_row", counted)
+    code, _, _ = run_cli(capsys, "check-lines", bundled_path("three_lines.json"))
+    assert code == 0
+    assert len(calls) == 2  # one row per line but the last: n - 1 for n = 3
+
+
 def test_gen_lower_bound_round_trip(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "gen-lower-bound", "--dim", "4")
     assert code == 0

@@ -293,7 +293,7 @@ def test_t_matrix_rejects_parallel():
 
 
 def test_check_realization_bundled_config():
-    report = check_realization(THREE)
+    report = check_realization(config_report(THREE))
     assert report.passed
     props = report.properties
     assert props["abs_matrix_signature"]["signature"] == [1, 0, 2]
@@ -303,7 +303,7 @@ def test_check_realization_bundled_config():
 
 
 def test_check_realization_two_skew_lines():
-    report = check_realization(LineConfig(3, (X_AXIS, L2)))
+    report = check_realization(config_report(LineConfig(3, (X_AXIS, L2))))
     assert report.passed
     assert report.properties["abs_matrix_signature"]["signature"] == [1, 0, 1]
 
@@ -313,12 +313,12 @@ def test_check_realization_rejects_wrong_distance():
         3, (X_AXIS, DirectedLine(np.array([0.0, 0.0, 2.0]), np.array([0.0, 1.0, 0.0])))
     )
     with pytest.raises(InvalidConfigError):
-        check_realization(stretched)
+        check_realization(config_report(stretched))
 
 
 def test_check_realization_preconditions():
     with pytest.raises(GeometryError):
-        check_realization(LineConfig(3, (X_AXIS,)))
+        check_realization(config_report(LineConfig(3, (X_AXIS,))))
     four_d = LineConfig(
         4,
         (
@@ -326,8 +326,26 @@ def test_check_realization_preconditions():
             DirectedLine(np.array([0.0, 0, 0, 1]), np.array([0.0, 1, 0, 0])),
         ),
     )
-    with pytest.raises(GeometryError):
-        check_realization(four_d)
+    with pytest.raises(GeometryError) as refused:
+        check_realization(config_report(four_d))
+    assert refused.type is GeometryError
+
+
+def test_check_realization_refuses_parallel_pair_at_unit_distance():
+    parallel = DirectedLine(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    report = config_report(LineConfig(3, (X_AXIS, parallel, L3)))
+    assert report.distances_ok
+    with pytest.raises(DegeneratePairError, match="lines 0 and 1 are parallel"):
+        check_realization(report)
+
+
+def test_check_realization_refuses_stray_distance_before_parallel_pair():
+    # pair (0, 1) is parallel at distance 1 and comes first; (0, 2) is at 5
+    parallel = DirectedLine(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    far = DirectedLine(np.array([0.0, 0.0, 5.0]), np.array([0.0, 1.0, 0.0]))
+    report = config_report(LineConfig(3, (X_AXIS, parallel, far)))
+    with pytest.raises(InvalidConfigError, match="lines 0 and 2 at distance 5.0"):
+        check_realization(report)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
