@@ -6,7 +6,9 @@ progress and diagnostics go to stderr.
 
 Exit codes: 0 success / run complete, 1 verification failure or invalid
 input configuration, 2 unusable input (parse errors, bad arguments) or an
---out path that cannot be written, 3 survivor cap exceeded.
+--out path that cannot be written, 3 survivor cap exceeded.  Exit 2 is
+decided in one place, `main`: every domain error is a ValueError, and
+`jsonout.load` reports JSON nested too deeply as one.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import sys
 from importlib import resources
 
 from . import catalog, geometry, signature
-from .forbidden import FamilyError, default_family, load_family, ramsey_family
-from .graphs import GraphError, canonical_form
+from .forbidden import default_family, load_family, ramsey_family
+from .graphs import canonical_form
 from .jsonout import dumps
 from .search import (
     DEFAULT_SURVIVOR_CAP,
@@ -67,28 +69,25 @@ def _probe_writable(path: str) -> None:
 
 
 def cmd_search(args) -> int:
+    opts = SearchOptions(
+        jobs=args.jobs,
+        cap=args.cap,
+        witness_path=args.witnesses,
+        collect_witnesses=args.embed_witnesses,
+        progress=not args.quiet,
+        seed=args.seed,
+    )
+    fam = _resolve_family(args.family)
+    # a search can run for minutes: refuse an unwritable path first
+    for path in (args.out, args.witnesses):
+        if path:
+            _probe_writable(path)
     try:
-        opts = SearchOptions(
-            jobs=args.jobs,
-            cap=args.cap,
-            witness_path=args.witnesses,
-            collect_witnesses=args.embed_witnesses,
-            progress=not args.quiet,
-            seed=args.seed,
-        )
-        fam = _resolve_family(args.family)
-        # a search can run for minutes: refuse an unwritable path first
-        for path in (args.out, args.witnesses):
-            if path:
-                _probe_writable(path)
         report = run_search(fam, args.n, opts)
     except SearchCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         _emit(exc.report.to_json_obj(), args.out)
         return 3
-    except (FamilyError, GraphError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     _emit(report.to_json_obj(), args.out)
     return 0
 
@@ -119,13 +118,9 @@ def cmd_verify_signatures(args) -> int:
         _probe_writable(args.out)
     lemmas = []
     for kind in LEMMA_KINDS:
-        try:
-            report = signature.verify_pattern_lemma(
-                kind, args.trials, args.seed, corrupt_slot=corrupt
-            )
-        except signature.MatrixError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = signature.verify_pattern_lemma(
+            kind, args.trials, args.seed, corrupt_slot=corrupt
+        )
         lemmas.append(report.to_json_obj())
         status = "ok" if report.passed else "FAIL"
         print(f"{kind}: {status} ({args.trials} trials)", file=sys.stderr)
@@ -157,19 +152,11 @@ def cmd_verify_signatures(args) -> int:
 
 
 def cmd_check_lines(args) -> int:
-    try:
-        cfg = geometry.load_config(sys.stdin if args.config == "-" else args.config)
-        if args.tol is not None:
-            cfg = geometry.LineConfig(cfg.dim, cfg.lines, args.tol)
-        if args.distances_only:
-            report = geometry.config_report(cfg)
-        elif cfg.dim == 3:
-            graph, report = geometry.chirality_graph(cfg)
-    except (geometry.GeometryError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    cfg = geometry.load_config(sys.stdin if args.config == "-" else args.config)
+    if args.tol is not None:
+        cfg = geometry.LineConfig(cfg.dim, cfg.lines, args.tol)
     if args.distances_only:
+        report = geometry.config_report(cfg)
         _emit(
             {
                 "mode": "distances-only",
@@ -186,6 +173,7 @@ def cmd_check_lines(args) -> int:
             file=sys.stderr,
         )
         return 1
+    graph, report = geometry.chirality_graph(cfg)
     result = {
         "mode": "full",
         "config": report.to_json_obj(),
@@ -216,12 +204,7 @@ def cmd_check_lines(args) -> int:
 
 
 def cmd_gen_lower_bound(args) -> int:
-    try:
-        cfg = geometry.lower_bound_config(args.dim)
-    except geometry.GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(cfg.to_json_obj(), args.out)
+    _emit(geometry.lower_bound_config(args.dim).to_json_obj(), args.out)
     return 0
 
 
@@ -304,7 +287,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # an --out path that cannot be written
+    except (ValueError, OSError) as exc:  # unusable input or --out path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import catalog
 from .graphs import Graph, induced_code, pair_count
+from .jsonout import load
 
 SCOPES = ("both", "red", "blue")
 
@@ -149,8 +150,7 @@ def family_from_json(obj) -> ForbiddenFamily:
 
 
 def load_family(path: str) -> ForbiddenFamily:
-    with open(path, encoding="utf-8") as fh:
-        return family_from_json(json.load(fh))
+    return family_from_json(load(path))
 
 
 def is_forbidden(g: Graph, fam: ForbiddenFamily) -> bool:

@@ -19,13 +19,13 @@ bound comes from.  Each pair is measured and judged once, in `config_report`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Graph
+from .jsonout import load
 from .signature import signature_of_array
 
 UNIT_TOL = 1e-12  # direction vectors must be unit to this tolerance
@@ -168,10 +168,7 @@ class LineConfig:
 
 
 def load_config(path_or_stream) -> LineConfig:
-    if hasattr(path_or_stream, "read"):
-        return LineConfig.from_json_obj(json.load(path_or_stream))
-    with open(path_or_stream, encoding="utf-8") as fh:
-        return LineConfig.from_json_obj(json.load(fh))
+    return LineConfig.from_json_obj(load(path_or_stream))
 
 
 def _pair_row(y, x, ys, xs):

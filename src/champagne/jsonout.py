@@ -1,5 +1,10 @@
-"""The one JSON report writer: `json.dumps(obj, indent=2, sort_keys=True)`,
-byte for byte, with the bulk of the work in the stdlib's C encoder.
+"""The one JSON reader and the one JSON report writer.
+
+`load` reads a stream or a UTF-8 file, and turns a document nested deeper
+than the decoder can follow into a ValueError like any other parse error.
+
+`dumps` is `json.dumps(obj, indent=2, sort_keys=True)`, byte for byte,
+with the bulk of the work in the stdlib's C encoder.
 
 With `indent` set, CPython's encoder (3.10-3.13) runs in pure Python.
 Here the walk stays in Python only down to the containers that hold no
@@ -72,3 +77,14 @@ def dumps(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)`: the same text, and the
     same exception type for a value or key JSON cannot hold."""
     return _dumps(obj, 0, set())
+
+
+def load(path_or_stream):
+    """`json.load` of a stream, or of the UTF-8 file at a path."""
+    try:
+        if hasattr(path_or_stream, "read"):
+            return json.load(path_or_stream)
+        with open(path_or_stream, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None

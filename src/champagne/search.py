@@ -41,7 +41,7 @@ from functools import lru_cache
 import multiprocessing
 import numpy as np
 
-from .forbidden import ForbiddenFamily, is_forbidden
+from .forbidden import ForbiddenFamily
 from .graphs import Graph, _bits, _orbit, canonical_form, pair_count
 from .jsonout import dumps
 
@@ -60,10 +60,12 @@ class SearchCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class FeasibleLevel:
-    """All clean colorings of K_k, canonical and sorted by code."""
+    """All clean colorings of K_k, canonical and sorted by code.  `kept`
+    counts the clean masks of the step that made the level."""
 
     k: int
     graphs: tuple[Graph, ...]
+    kept: int = field(default=1, compare=False)
 
     @property
     def count(self) -> int:
@@ -71,18 +73,6 @@ class FeasibleLevel:
 
     def codes(self) -> tuple[int, ...]:
         return tuple(g.bits for g in self.graphs)
-
-    def validate(self, fam: ForbiddenFamily) -> None:
-        codes = self.codes()
-        if list(codes) != sorted(set(codes)):
-            raise AssertionError(f"level {self.k} codes not strictly increasing")
-        for g in self.graphs:
-            if g.n != self.k:
-                raise AssertionError(f"level {self.k} holds a graph on {g.n} vertices")
-            if canonical_form(g).code != g.bits:
-                raise AssertionError(f"level {self.k} graph not canonical: {g}")
-            if is_forbidden(g, fam):
-                raise AssertionError(f"level {self.k} graph is forbidden: {g}")
 
 
 @dataclass
@@ -270,18 +260,17 @@ def _expand_chunk(args, level_kept=None):
 
 
 def extend_level(
-    level: FeasibleLevel, fam: ForbiddenFamily, jobs: int = 1
+    level: FeasibleLevel,
+    fam: ForbiddenFamily,
+    jobs: int = 1,
+    cap: int = DEFAULT_SURVIVOR_CAP,
 ) -> FeasibleLevel:
-    new_level, _, _ = _extend_level_stats(level, fam, jobs)
-    return new_level
-
-
-def _extend_level_stats(level, fam, jobs, cap=DEFAULT_SURVIVOR_CAP):
+    """Level k+1 from level k; the chunks stop early, with partial counts,
+    once the level's clean-mask count passes `cap`."""
     k = level.k
     if k >= 16:
         raise ValueError("levels beyond 16 vertices are unsupported")
     parent_codes = level.codes()
-    expanded = level.count * (1 << k)
     ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("q", 0)
     if jobs == 1 or level.count < 2 * jobs:
@@ -296,7 +285,7 @@ def _extend_level_stats(level, fam, jobs, cap=DEFAULT_SURVIVOR_CAP):
         raise RuntimeError(f"a class of level {k + 1} was generated twice")
     kept = sum(chunk_kept for _, chunk_kept in results)
     graphs = tuple(Graph(k + 1, code) for code in codes)
-    return FeasibleLevel(k + 1, graphs), expanded, kept
+    return FeasibleLevel(k + 1, graphs, kept)
 
 
 def run_search(
@@ -327,26 +316,27 @@ def run_search(
     final = level  # the last non-empty level
     while level.k < n_max and level.count > 0:
         t0 = time.perf_counter()
-        level, expanded, kept = _extend_level_stats(level, fam, opts.jobs, opts.cap)
+        expanded = level.count << level.k
+        level = extend_level(level, fam, opts.jobs, opts.cap)
         report.levels.append(
             {
                 "k": level.k,
                 "count": level.count,
                 "expanded": expanded,
-                "kept": kept,
+                "kept": level.kept,
                 "seconds": round(time.perf_counter() - t0, 3),
             }
         )
         if opts.progress:
             print(
-                f"level={level.k} expanded={expanded} kept={kept} "
-                f"deduped={level.count} elapsed={time.perf_counter() - start:.2f}",
+                f"level={level.k} expanded={expanded} kept={level.kept} "
+                f"classes={level.count} elapsed={time.perf_counter() - start:.2f}",
                 file=sys.stderr,
             )
         if level.count > 0:
             final = level
         # the chunks stop once the level passes the cap: the counts are partial
-        if max(kept, level.count) > opts.cap:
+        if max(level.kept, level.count) > opts.cap:
             report.verdict = {"kind": "cap-exceeded", "k": level.k}
             raise SearchCapExceeded(report)
     if level.count == 0:

@@ -5,7 +5,8 @@ more obvious route: all permutations instead of a pruned backtrack or a
 numpy table of vertex orders, all labeled colorings instead of the
 one-vertex-at-a-time search, Gaussian elimination instead of the
 characteristic polynomial, dense Faddeev-LeVerrier instead of sparse power
-sums.  They are capped to small inputs and no command runs them.
+sums.  `validate_level` checks the invariants of one search level.  They
+are capped to small inputs and no command runs them.
 """
 
 import itertools
@@ -15,11 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from champagne.forbidden import ForbiddenFamily
+from champagne.forbidden import ForbiddenFamily, is_forbidden
 from champagne.geometry import DirectedLine, GeometryError, LineConfig
 from champagne.graphs import (CanonicalForm, Graph, GraphError, _lex_to_bits,
                               canonical_form, induced_code, pair_count, pair_slot,
                               permute)
+from champagne.search import FeasibleLevel
 from champagne.signature import MatrixError, SymMatrix, _integer_scaled
 
 # -- graphs ------------------------------------------------------------------
@@ -252,6 +254,21 @@ def brute_force_level_codes(fam: ForbiddenFamily, n: int) -> tuple[int, ...]:
                 image |= 1 << table[i]
             marked[image] = True
     return tuple(sorted(codes))
+
+
+def validate_level(level: FeasibleLevel, fam: ForbiddenFamily) -> None:
+    """Raise AssertionError unless the level's codes strictly increase and
+    each graph has k vertices, is canonical and is clean under `fam`."""
+    codes = level.codes()
+    if list(codes) != sorted(set(codes)):
+        raise AssertionError(f"level {level.k} codes not strictly increasing")
+    for g in level.graphs:
+        if g.n != level.k:
+            raise AssertionError(f"level {level.k} holds a graph on {g.n} vertices")
+        if canonical_form(g).code != g.bits:
+            raise AssertionError(f"level {level.k} graph not canonical: {g}")
+        if is_forbidden(g, fam):
+            raise AssertionError(f"level {level.k} graph is forbidden: {g}")
 
 
 # -- signature ---------------------------------------------------------------

@@ -95,6 +95,11 @@ def test_search_bad_family_exits_2(capsys, tmp_path):
     assert "error" in err
     code, _, _ = run_cli(capsys, "search", "--family", "/nonexistent.json", "--n", "4")
     assert code == 2
+    # nested deeper than the JSON decoder can follow
+    bad.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "search", "--family", str(bad), "--n", "4")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -410,11 +415,21 @@ def test_check_lines_rejects_malformed_config(capsys, monkeypatch, config):
         assert "Traceback" not in err
 
 
-def test_check_lines_parse_error(capsys, tmp_path):
+def test_check_lines_parse_error(capsys, monkeypatch, tmp_path):
+    import io
+
     path = tmp_path / "broken.json"
     path.write_text("[this is not json")
     assert run_cli(capsys, "check-lines", str(path))[0] == 2
     assert run_cli(capsys, "check-lines", "/missing/file.json")[0] == 2
+    # nested deeper than the JSON decoder can follow, as a file and on stdin
+    deep = "[" * 100_000
+    path.write_text(deep)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+    for source in (str(path), "-"):
+        code, out, err = run_cli(capsys, "check-lines", source)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 def test_check_lines_distance_failure(capsys, tmp_path):

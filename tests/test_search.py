@@ -14,6 +14,7 @@ from oracles import (
     brute_force_level_codes,
     clean_extensions_scalar,
     group_closure,
+    validate_level,
 )
 
 from champagne import catalog, search
@@ -72,7 +73,7 @@ def test_extend_level_first_steps():
     f4 = extend_level(f3, FAM)
     assert f4.count == 9
     for level in (f2, f3, f4):
-        level.validate(FAM)
+        validate_level(level, FAM)
 
 
 def test_level_4_matches_inline_enumeration():
@@ -154,7 +155,7 @@ def test_levels_match_direct_enumeration_one_sided(name):
 
 def test_levels_are_sound_and_complement_closed():
     for level in feasible_levels(FAM, 8):
-        level.validate(FAM)
+        validate_level(level, FAM)
         codes = set(level.codes())
         for g in level.graphs:
             assert canonical_form(complement(g)).code in codes
@@ -387,10 +388,10 @@ def test_feasible_level_validate_catches_corruption():
     f2 = extend_level(level_1(), FAM)
     bad_order = FeasibleLevel(2, tuple(reversed(f2.graphs)))
     with pytest.raises(AssertionError):
-        bad_order.validate(FAM)
+        validate_level(bad_order, FAM)
     forbidden_member = FeasibleLevel(4, (Graph.complete(4),))
     with pytest.raises(AssertionError):
-        forbidden_member.validate(FAM)
+        validate_level(forbidden_member, FAM)
 
 
 def test_report_json_shapes():
