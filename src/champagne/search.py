@@ -15,14 +15,15 @@ when its bits on a critical subset select a completing column.
 
 Each class is made exactly once, by McKay's canonical construction path
 ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Only the
-least clean mask of each orbit under the parent's automorphisms (from the
-generators `canonical_form(parent)` returns) is tried.  A child's designated
+least clean mask of each orbit under the parent's automorphisms is tried;
+the level carries their generators from the canonical form that accepted
+the parent, so no class is canonicalized twice.  A child's designated
 vertex d has the largest (degree, neighbours' degree sum), ties going to the
 largest canonical position, and the child is accepted only when the new
 vertex is in the orbit of d under the child's automorphisms.  Families are
 hereditary, so the child minus d is clean: each class comes from exactly one
 parent and one orbit of its masks.  The `kept` count of a level still
-counts every clean mask.
+counts every clean mask.  With several jobs, one fork pool serves a search.
 
 The test suite checks both emptiness verdicts and per-level class sets
 against a direct enumeration of all labeled colorings (n <= 7) in
@@ -35,14 +36,15 @@ import itertools
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import multiprocessing
 import numpy as np
 
 from .forbidden import ForbiddenFamily
-from .graphs import Graph, _bits, _orbit, canonical_form, pair_count
+from .graphs import Graph, _orbit, canonical_form, pair_count
 from .jsonout import dumps
 
 DEFAULT_SURVIVOR_CAP = 50_000_000
@@ -61,11 +63,21 @@ class SearchCapExceeded(RuntimeError):
 @dataclass(frozen=True)
 class FeasibleLevel:
     """All clean colorings of K_k, canonical and sorted by code.  `kept`
-    counts the clean masks of the step that made the level."""
+    counts the clean masks of the step that made the level.  `generators`
+    packs, per graph, generators of its automorphism group, k bytes each
+    (the images of vertices 0..k-1); a level built without them computes them."""
 
     k: int
     graphs: tuple[Graph, ...]
     kept: int = field(default=1, compare=False)
+    generators: tuple | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.generators is None:  # a level built by hand
+            gens = tuple(
+                _pack(canonical_form(g).generators, range(g.n)) for g in self.graphs
+            )
+            object.__setattr__(self, "generators", gens)
 
     @property
     def count(self) -> int:
@@ -108,19 +120,9 @@ class SearchReport:
         """Full report; with_timing=False drops the run-environment fields
         (per-level seconds and the worker count), leaving exactly the bytes
         that are guaranteed identical across runs and worker counts."""
-        levels = [dict(level) for level in self.levels]
-        obj = {
-            "family": self.family,
-            "n_max": self.n_max,
-            "jobs": self.jobs,
-            "cap": self.cap,
-            "seed": self.seed,
-            "levels": levels,
-            "verdict": self.verdict,
-            "witnesses": self.witnesses,
-        }
+        obj = asdict(self)  # a deep copy, keys in field order
         if not with_timing:
-            for level in levels:
+            for level in obj["levels"]:
                 level.pop("seconds", None)
             obj.pop("jobs")
         return obj
@@ -206,25 +208,44 @@ def _orbit_representatives(masks: np.ndarray, generators, k: int) -> np.ndarray:
         least = fallen
 
 
-_level_kept = None  # a pool worker's clean-mask counter for the level
+def _invariants(prow, masks: np.ndarray, k: int) -> np.ndarray:
+    """degree << 8 | neighbours' degree sum of each vertex (row; the new
+    vertex is row k) of the child made by each mask (column); the sum is
+    below 256, so the packed order is the order of the pairs."""
+    bits = _mask_bits(k)
+    sel, adj = bits[:, masks].astype(np.int32), bits[:, list(prow)].astype(np.int32)
+    deg = np.vstack([adj.sum(axis=0)[:, None] + sel, sel.sum(axis=0)])
+    nsum = np.vstack([adj @ deg[:k] + sel * deg[k], (sel * deg[:k]).sum(axis=0)])
+    return deg << 8 | nsum
 
 
-def _share_level_kept(counter) -> None:
-    """Pool worker initializer: install the level's shared counter."""
-    global _level_kept
-    _level_kept = counter
+def _pack(perms, w) -> bytes:
+    """The permutations h relabeled by w (w[v] -> w[h[v]]), one byte per image."""
+    inverse = sorted(range(len(w)), key=w.__getitem__)
+    return bytes(w[h[v]] for h in perms for v in inverse)
 
 
-def _expand_chunk(args, level_kept=None):
-    """Accepted child codes and the clean-mask count over a run of parents.
-    Stops early, with the partial counts, once the level's clean-mask count
-    `level_kept` (by default a pool worker's installed one) passes `cap`."""
-    parent_codes, k, fam, cap = args
-    level_kept = level_kept or _level_kept
+_FORK = multiprocessing.get_context("fork")
+_shared = None  # a pool worker's (family, cap, clean-mask counter of the level)
+
+
+def _share(fam, cap, counter) -> None:
+    """Pool worker initializer: install the search's family, cap and counter."""
+    global _shared
+    _shared = fam, cap, counter
+
+
+def _expand_chunk(chunk, shared=None):
+    """Accepted (code, packed generators) children and the clean-mask count
+    over a run of k-vertex parents, given the same way.  Stops early, with
+    the partial counts, once the level's clean-mask counter (by default a
+    pool worker's installed one) passes the cap."""
+    k, parents = chunk
+    fam, cap, level_kept = shared or _shared
     shift = pair_count(k)
     kept = 0
-    child_codes = []
-    for bits in parent_codes:
+    children = []
+    for bits, packed in parents:
         parent = Graph(k, bits)
         masks = _clean_extensions(parent, fam)
         if not masks.size:
@@ -234,29 +255,48 @@ def _expand_chunk(args, level_kept=None):
             level_kept.value += masks.size
             if level_kept.value > cap:
                 break
-        # the new vertex must have the top degree; that holds on whole
+        # the new vertex must have the top invariant; that holds on whole
         # orbits of the parent's automorphisms
-        prow = parent.rows()
-        sel = _mask_bits(k)[:, masks]
-        pdeg = np.array([row.bit_count() for row in prow])
-        masks = masks[(sel + pdeg[:, None]).max(axis=0) <= sel.sum(axis=0)]
+        keys = _invariants(parent.rows(), masks, k)
+        top = keys[k] >= keys.max(axis=0)
+        masks, keys = masks[top], keys[:, top]
         if not masks.size:
             continue
-        generators = canonical_form(parent).generators
-        for mask in _orbit_representatives(masks, generators, k).tolist():
-            rows = [row | (mask >> u & 1) << k for u, row in enumerate(prow)]
-            rows.append(mask)
-            deg = [row.bit_count() for row in rows]
-            # accept only when k is in the orbit of the designated vertex
-            inv = [(deg[u], sum(deg[w] for w in _bits(rows[u]))) for u in range(k + 1)]
-            if inv[k] < max(inv):
-                continue
+        generators = [packed[i : i + k] for i in range(0, len(packed), k)]
+        reps = _orbit_representatives(masks, generators, k)
+        keys = keys[:, np.searchsorted(masks, reps)].T.tolist()
+        for mask, key in zip(reps.tolist(), keys):
             form = canonical_form(Graph(k + 1, bits | mask << shift))
-            tied = [u for u in range(k + 1) if inv[u] == inv[k]]
+            # accept only when k is in the orbit of the designated vertex
+            tied = [u for u in range(k + 1) if key[u] == key[k]]
             d = max(tied, key=form.witness.__getitem__)
             if _orbit(1 << d, form.generators) >> k & 1:
-                child_codes.append(form.code)
-    return child_codes, kept
+                children.append((form.code, _pack(form.generators, form.witness)))
+    return children, kept
+
+
+def _extend(level: FeasibleLevel, shared, jobs: int = 1, pool=None) -> FeasibleLevel:
+    """Level k+1 from level k: in `pool`'s `jobs` workers when there is a
+    pool and the level is wide enough, else in process."""
+    k = level.k
+    if k >= 16:
+        raise ValueError("levels beyond 16 vertices are unsupported")
+    shared[2].value = 0  # the level's clean-mask counter
+    parents = tuple(zip(level.codes(), level.generators))
+    if pool is None or level.count < 2 * jobs:
+        results = [_expand_chunk((k, parents), shared)]
+    else:
+        # round robin, so each chunk gets a share of every stretch of the
+        # level, and four chunks per worker, so none waits long on another
+        n = min(4 * jobs, level.count)
+        chunks = [(k, parents[i::n]) for i in range(n)]
+        results = list(pool.map(_expand_chunk, chunks))
+    children = sorted(child for chunk, _ in results for child in chunk)
+    if any(a[0] == b[0] for a, b in zip(children, children[1:])):
+        raise RuntimeError(f"a class of level {k + 1} was generated twice")
+    kept = sum(chunk_kept for _, chunk_kept in results)
+    graphs = tuple(Graph(k + 1, code) for code, _ in children)
+    return FeasibleLevel(k + 1, graphs, kept, tuple(packed for _, packed in children))
 
 
 def extend_level(
@@ -265,27 +305,14 @@ def extend_level(
     jobs: int = 1,
     cap: int = DEFAULT_SURVIVOR_CAP,
 ) -> FeasibleLevel:
-    """Level k+1 from level k; the chunks stop early, with partial counts,
-    once the level's clean-mask count passes `cap`."""
-    k = level.k
-    if k >= 16:
-        raise ValueError("levels beyond 16 vertices are unsupported")
-    parent_codes = level.codes()
-    ctx = multiprocessing.get_context("fork")
-    counter = ctx.Value("q", 0)
+    """Level k+1 from level k, in a pool of its own when jobs > 1; the
+    chunks stop early, with partial counts, once the level's clean-mask
+    count passes `cap`."""
+    shared = (fam, cap, _FORK.Value("q", 0))
     if jobs == 1 or level.count < 2 * jobs:
-        results = [_expand_chunk((parent_codes, k, fam, cap), counter)]
-    else:
-        # round robin, so each worker gets a share of every stretch of the level
-        chunks = [(parent_codes[i::jobs], k, fam, cap) for i in range(jobs)]
-        with ProcessPoolExecutor(jobs, ctx, _share_level_kept, (counter,)) as pool:
-            results = list(pool.map(_expand_chunk, chunks))
-    codes = sorted(code for chunk_codes, _ in results for code in chunk_codes)
-    if any(a == b for a, b in zip(codes, codes[1:])):
-        raise RuntimeError(f"a class of level {k + 1} was generated twice")
-    kept = sum(chunk_kept for _, chunk_kept in results)
-    graphs = tuple(Graph(k + 1, code) for code in codes)
-    return FeasibleLevel(k + 1, graphs, kept)
+        return _extend(level, shared)
+    with ProcessPoolExecutor(jobs, _FORK, _share, shared) as pool:
+        return _extend(level, shared, jobs, pool)
 
 
 def run_search(
@@ -314,31 +341,38 @@ def run_search(
         {"k": 1, "count": 1, "expanded": 1, "kept": 1, "seconds": 0.0}
     )
     final = level  # the last non-empty level
-    while level.k < n_max and level.count > 0:
-        t0 = time.perf_counter()
-        expanded = level.count << level.k
-        level = extend_level(level, fam, opts.jobs, opts.cap)
-        report.levels.append(
-            {
-                "k": level.k,
-                "count": level.count,
-                "expanded": expanded,
-                "kept": level.kept,
-                "seconds": round(time.perf_counter() - t0, 3),
-            }
-        )
-        if opts.progress:
-            print(
-                f"level={level.k} expanded={expanded} kept={level.kept} "
-                f"classes={level.count} elapsed={time.perf_counter() - start:.2f}",
-                file=sys.stderr,
+    # one pool per search; leaving the block, even by an error, joins its workers
+    shared = (fam, opts.cap, _FORK.Value("q", 0))
+    pool = None
+    with ExitStack() as stack:
+        while level.k < n_max and level.count > 0:
+            t0 = time.perf_counter()
+            if pool is None and opts.jobs > 1 and level.count >= 2 * opts.jobs:
+                pool = ProcessPoolExecutor(opts.jobs, _FORK, _share, shared)
+                stack.enter_context(pool)
+            expanded = level.count << level.k
+            level = _extend(level, shared, opts.jobs, pool)
+            report.levels.append(
+                {
+                    "k": level.k,
+                    "count": level.count,
+                    "expanded": expanded,
+                    "kept": level.kept,
+                    "seconds": round(time.perf_counter() - t0, 3),
+                }
             )
-        if level.count > 0:
-            final = level
-        # the chunks stop once the level passes the cap: the counts are partial
-        if max(level.kept, level.count) > opts.cap:
-            report.verdict = {"kind": "cap-exceeded", "k": level.k}
-            raise SearchCapExceeded(report)
+            if opts.progress:
+                print(
+                    f"level={level.k} expanded={expanded} kept={level.kept} "
+                    f"classes={level.count} elapsed={time.perf_counter() - start:.2f}",
+                    file=sys.stderr,
+                )
+            if level.count > 0:
+                final = level
+            # the chunks stop once the level passes the cap: the counts are partial
+            if max(level.kept, level.count) > opts.cap:
+                report.verdict = {"kind": "cap-exceeded", "k": level.k}
+                raise SearchCapExceeded(report)
     if level.count == 0:
         report.verdict = {"kind": "empty-at-k", "k": level.k}
     else:

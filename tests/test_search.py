@@ -61,8 +61,15 @@ def level_1():
 
 def expand(parent, fam):
     """Accepted child codes and clean-mask count of one parent."""
-    args = ((parent.bits,), parent.n, fam, DEFAULT_SURVIVOR_CAP)
-    return _expand_chunk(args, multiprocessing.Value("q", 0))
+    packed = FeasibleLevel(parent.n, (parent,)).generators[0]
+    shared = (fam, DEFAULT_SURVIVOR_CAP, multiprocessing.Value("q", 0))
+    children, kept = _expand_chunk((parent.n, ((parent.bits, packed),)), shared)
+    return [code for code, _ in children], kept
+
+
+def unpack(packed: bytes, n: int) -> list[tuple[int, ...]]:
+    """The permutations of a level's packed generators, n bytes each."""
+    return [tuple(packed[i : i + n]) for i in range(0, len(packed), n)]
 
 
 def test_extend_level_first_steps():
@@ -295,11 +302,69 @@ def test_shared_kept_count_loses_no_update():
     # leave it below the sum of the chunks' own counts
     ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("q", 0)
-    codes = search_levels("default", 8)[-1].codes()
-    chunks = [(codes[i::4], 8, FAM, DEFAULT_SURVIVOR_CAP) for i in range(4)]
-    with ProcessPoolExecutor(4, ctx, search._share_level_kept, (counter,)) as pool:
+    level = search_levels("default", 8)[-1]
+    parents = tuple(zip(level.codes(), level.generators))
+    chunks = [(8, parents[i::4]) for i in range(4)]
+    shared = (FAM, DEFAULT_SURVIVOR_CAP, counter)
+    with ProcessPoolExecutor(4, ctx, search._share, shared) as pool:
         results = list(pool.map(_expand_chunk, chunks, timeout=120))
     assert counter.value == sum(kept for _, kept in results) == 668
+
+
+def test_one_pool_per_search_and_no_worker_outlives_it(monkeypatch):
+    pools = []
+
+    def recording(jobs, *args):
+        pools.append(jobs)
+        return ProcessPoolExecutor(jobs, *args)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", recording)
+    rep = run_search(FAM, 10, SearchOptions(jobs=2))
+    assert rep.verdict == {"kind": "empty-at-k", "k": 10}
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    with pytest.raises(SearchCapExceeded):
+        run_search(FAM, 10, SearchOptions(jobs=2, cap=100))
+    assert pools == [2, 2]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "name, n", [("default", 9), ("r44", 7)] + [(name, 7) for name in ONE_SIDED]
+)
+def test_carried_generators_generate_the_automorphism_group(name, n):
+    fam = FAMILIES.get(name) or ONE_SIDED[name]
+    levels = search_levels(name, n) if name in FAMILIES else feasible_levels(fam, n)
+    for level in levels:
+        assert len(level.generators) == level.count
+        for g, packed in zip(level.graphs, level.generators):
+            carried = unpack(packed, g.n)
+            assert all(permute(g, h) == g for h in carried)
+            expected = group_closure(canonical_form(g).generators, g.n)
+            assert group_closure(carried, g.n) == expected
+
+
+def test_hand_built_level_gets_its_generators():
+    graphs = (catalog.cycle_graph(5), Graph.empty(5))
+    level = FeasibleLevel(5, graphs)
+    assert [len(group_closure(unpack(p, 5), 5)) for p in level.generators] == [10, 120]
+    # generators do not take part in level equality
+    assert level == FeasibleLevel(5, graphs, generators=(b"", b""))
+
+
+@pytest.mark.parametrize("name, n, calls", [("default", 10, 632), ("r44", 8, 2953)])
+def test_each_class_is_canonicalized_once(monkeypatch, name, n, calls):
+    # one call per child that reaches the orbit test, plus the level-1
+    # graph; none for a parent, whose generators its level carries
+    count = [0]
+
+    def counting(g):
+        count[0] += 1
+        return canonical_form(g)
+
+    monkeypatch.setattr(search, "canonical_form", counting)
+    run_search(FAMILIES[name], n)
+    assert count[0] == calls
 
 
 def test_witness_file_and_embedding(tmp_path):
