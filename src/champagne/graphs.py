@@ -82,11 +82,11 @@ class Graph:
     def rows(self) -> tuple[int, ...]:
         """Adjacency bitmask of each vertex."""
         rows = [0] * self.n
-        for v in range(self.n):
-            for u in range(v):
-                if self.bits >> (v * (v - 1) // 2 + u) & 1:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
+        for v in range(1, self.n):
+            # v's neighbours below v are its contiguous slot range
+            low = rows[v] = self.bits >> (v * (v - 1) // 2) & ((1 << v) - 1)
+            for u in _bits(low):
+                rows[u] |= 1 << v
         return tuple(rows)
 
     # -- serialization ------------------------------------------------------
@@ -284,29 +284,36 @@ def _split(cells, bit: int, row: int):
     return child
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
+def canonical_form(g: Graph, keys=None) -> CanonicalForm:
     """Canonical form: the relabeling with lexicographically minimal slot
-    sequence, taken over all n! orders.
+    sequence, taken over all n! orders, or, given `keys` (one integer per
+    vertex), over the orders that list the vertices by ascending key.
+
+    With isomorphism-invariant keys the code still separates isomorphism
+    classes, and the walk starts from the vertices split into key classes,
+    so a fine key leaves it little to branch on.  The search labels its
+    classes this way; the keyless code is the one every output shows.
 
     An order's slot sequence is packed into an integer first slot highest,
     so integer comparison agrees with lexicographic comparison.
     Backtracking over positions: once positions 0..j-1 are fixed, the next
     block of slots is the adjacency column of position j against them, so
-    only vertices whose column is minimal can extend an optimal labeling.
-    The unused vertices are kept as cells, one bitmask per distinct column,
-    in increasing column order; placing v splits every cell into its
+    only vertices of the least key left whose column is minimal can extend
+    an optimal labeling.  The unused vertices are kept as cells, one bitmask
+    per distinct (key, column), in increasing order: they start as the key
+    classes with empty columns, and placing v splits every cell into its
     non-neighbours of v, then its neighbours, so the first cell is always
     the candidate set.  A lone candidate is placed without branching, and
     once every cell is one vertex the rest of the order is the cell order.
     Branches whose decided slot prefix exceeds the best complete labeling
     are pruned; the first complete labeling is the first incumbent.
-    Vertices are relabeled by stable degree rank on entry, so tied
+    Vertices are relabeled by stable (key, degree) rank on entry, so tied
     candidates are tried low degree first, then by label.
 
-    Twins (u, v with the same neighbors outside {u, v}) are placed in label
-    order: swapping two twins is an automorphism, so this keeps the lex
-    minimum, and twins always tie, so the earlier twin is always a
-    candidate when the later one is skipped.
+    Twins (u, v with the same neighbors outside {u, v} and the same key)
+    are placed in label order: swapping two twins is an automorphism, so
+    this keeps the lex minimum, and twins always tie, so the earlier twin
+    is always a candidate when the later one is skipped.
 
     A complete labeling that ties the incumbent differs from it by an
     automorphism (best_order[i] -> order[i]), which is recorded.  It fixes
@@ -320,20 +327,42 @@ def canonical_form(g: Graph) -> CanonicalForm:
     witness are those of the unpruned walk (McKay, "Practical Graph
     Isomorphism", 1981).  Every minimal labeling is reached from the
     witness by the recorded automorphisms and the twin swaps, so these
-    generate the automorphism group and are returned as `generators`.
+    generate the automorphism group (of the ones that keep every key) and
+    are returned as `generators`.
     """
     n = g.n
     m = pair_count(n)
     rows0 = g.rows()
-    by_degree = sorted(range(n), key=lambda v: rows0[v].bit_count())
+    if keys is None:
+        keys = (0,) * n
+    elif len(keys) != n:
+        raise GraphError(f"{len(keys)} keys for {n} vertices")
+    by_key = sorted(range(n), key=lambda v: (keys[v], rows0[v].bit_count()))
     rank = [0] * n
-    for r, v in enumerate(by_degree):
+    for r, v in enumerate(by_key):
         rank[v] = r
-    rows = [sum(1 << rank[u] for u in _bits(rows0[v])) for v in by_degree]
+    keys = [keys[v] for v in by_key]
+    cells = []  # the key classes, ascending
+    for r in range(n):
+        if r and keys[r] == keys[r - 1]:
+            cells[-1] = (cells[-1][0] | 1 << r, 0)
+        else:
+            cells.append((1 << r, 0))
+    bit = [1 << r for r in rank]
+    rows = []
+    for v in by_key:
+        row, relabeled = rows0[v], 0
+        while row:
+            low = row & -row
+            relabeled |= bit[low.bit_length() - 1]
+            row ^= low
+        rows.append(relabeled)
     prev = [0] * n  # bit of the previous twin of each vertex, 0 for none
     twins = []
     for v in range(n):
         for u in range(v - 1, -1, -1):
+            if keys[u] != keys[v]:
+                break  # a key class is a run of ranks
             if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v):
                 prev[v] = 1 << u
                 twins.append((u, v))
@@ -344,7 +373,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
     order = [0] * n  # order[:j] is the prefix of the current node
     back = n  # depth the walk is returning to after finding an automorphism
 
-    # cells: [(mask, column)] of the unused vertices, columns increasing,
+    # cells: [(mask, column)] of the unused vertices, by key, then column,
     # where column is the adjacency against order[:j], MSB = position 0
     def walk(j, cells, partial, done_bits):
         nonlocal best_lex, best_order, back
@@ -409,20 +438,20 @@ def canonical_form(g: Graph) -> CanonicalForm:
             if rest and len(autos) > found:
                 orbit = _orbit(orbit, autos[found:])
 
-    walk(0, [((1 << n) - 1, 0)] if n else [], 0, 0)
+    walk(0, cells, 0, 0)
 
     witness = [0] * n
     for pos, v in enumerate(best_order):
-        witness[by_degree[v]] = pos
+        witness[by_key[v]] = pos
     generators = []
     for perm in autos:
         h = [0] * n
         for v in range(n):
-            h[by_degree[v]] = by_degree[perm[v]]
+            h[by_key[v]] = by_key[perm[v]]
         generators.append(tuple(h))
     for u, v in twins:
         h = list(range(n))
-        h[by_degree[u]], h[by_degree[v]] = by_degree[v], by_degree[u]
+        h[by_key[u]], h[by_key[v]] = by_key[v], by_key[u]
         generators.append(tuple(h))
     return CanonicalForm(_lex_to_bits(best_lex, n), tuple(witness), tuple(generators))
 

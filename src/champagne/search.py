@@ -14,16 +14,20 @@ the parent up among the family's prefix keys to find the "critical" subsets
 when its bits on a critical subset select a completing column.
 
 Each class is made exactly once, by McKay's canonical construction path
-("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Only the
+("Isomorph-free exhaustive generation", J. Algorithms 26, 1998), which is
+correct with any canonical labeling.  The search labels a child with
+`canonical_form` keyed by each vertex's (degree, neighbours' degree sum):
+the walk starts from those key classes, so it rarely branches.  Only the
 least clean mask of each orbit under the parent's automorphisms is tried;
 the level carries their generators from the canonical form that accepted
-the parent, so no class is canonicalized twice.  A child's designated
-vertex d has the largest (degree, neighbours' degree sum), ties going to the
-largest canonical position, and the child is accepted only when the new
-vertex is in the orbit of d under the child's automorphisms.  Families are
-hereditary, so the child minus d is clean: each class comes from exactly one
-parent and one orbit of its masks.  The `kept` count of a level still
-counts every clean mask.  With several jobs, one fork pool serves a search.
+the parent, so no class is canonicalized twice.  The new vertex must have
+the largest key, and the child is accepted only when it is in the orbit of
+the designated vertex d, the one labeled last, under the child's
+automorphisms.  Families are hereditary, so the child minus d is clean: each
+class comes from exactly one parent and one orbit of its masks.  The `kept`
+count of a level still counts every clean mask.  The keyless, lex-min code
+of a class is computed only for output, by `FeasibleLevel.codes`.  With
+several jobs, one fork pool serves a search.
 
 The test suite checks both emptiness verdicts and per-level class sets
 against a direct enumeration of all labeled colorings (n <= 7) in
@@ -62,10 +66,14 @@ class SearchCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class FeasibleLevel:
-    """All clean colorings of K_k, canonical and sorted by code.  `kept`
-    counts the clean masks of the step that made the level.  `generators`
-    packs, per graph, generators of its automorphism group, k bytes each
-    (the images of vertices 0..k-1); a level built without them computes them."""
+    """All clean colorings of K_k, one per class.  The search stores each in
+    its own labeling, a fixed point of `canonical_form` keyed by (degree,
+    neighbours' degree sum), sorted by those codes; `codes()` gives the
+    classes' lex-min output codes.  `kept` counts the clean masks of the
+    step that made the level.  `generators` packs, per graph, generators of
+    its automorphism group, k bytes each (the images of vertices 0..k-1); a
+    level built without them computes them, and the top level of
+    `run_search`, which is never extended, carries none (an empty tuple)."""
 
     k: int
     graphs: tuple[Graph, ...]
@@ -83,8 +91,23 @@ class FeasibleLevel:
     def count(self) -> int:
         return len(self.graphs)
 
-    def codes(self) -> tuple[int, ...]:
-        return tuple(g.bits for g in self.graphs)
+    def codes(self, pool=None, jobs: int = 1) -> tuple[int, ...]:
+        """The lex-min canonical codes of the classes, ascending: the codes
+        every output shows; in `pool`'s `jobs` workers when there is a pool
+        and the level is wide enough."""
+        bits = tuple(g.bits for g in self.graphs)
+        if pool is None or self.count < 2 * jobs:
+            return tuple(sorted(_lex_codes((self.k, bits))))
+        n = min(4 * jobs, self.count)
+        chunks = pool.map(_lex_codes, [(self.k, bits[i::n]) for i in range(n)])
+        return tuple(sorted(code for chunk in chunks for code in chunk))
+
+
+def _lex_codes(chunk) -> list[int]:
+    """The lex-min canonical codes of a run of k-vertex graphs, given as
+    (k, edge bitsets)."""
+    k, bits = chunk
+    return [canonical_form(Graph(k, b)).code for b in bits]
 
 
 @dataclass
@@ -237,10 +260,11 @@ def _share(fam, cap, counter) -> None:
 
 def _expand_chunk(chunk, shared=None):
     """Accepted (code, packed generators) children and the clean-mask count
-    over a run of k-vertex parents, given the same way.  Stops early, with
-    the partial counts, once the level's clean-mask counter (by default a
-    pool worker's installed one) passes the cap."""
-    k, parents = chunk
+    over a run of k-vertex parents, given the same way, as (k, parents,
+    pack); with pack false the children carry no generators.  Stops early,
+    with the partial counts, once the level's clean-mask counter (by default
+    a pool worker's installed one) passes the cap."""
+    k, parents, pack = chunk
     fam, cap, level_kept = shared or _shared
     shift = pair_count(k)
     kept = 0
@@ -266,37 +290,42 @@ def _expand_chunk(chunk, shared=None):
         reps = _orbit_representatives(masks, generators, k)
         keys = keys[:, np.searchsorted(masks, reps)].T.tolist()
         for mask, key in zip(reps.tolist(), keys):
-            form = canonical_form(Graph(k + 1, bits | mask << shift))
-            # accept only when k is in the orbit of the designated vertex
-            tied = [u for u in range(k + 1) if key[u] == key[k]]
-            d = max(tied, key=form.witness.__getitem__)
+            form = canonical_form(Graph(k + 1, bits | mask << shift), key)
+            # the top key class is labeled last: accept only when k is in
+            # the orbit of the designated vertex, the one at position k
+            d = form.witness.index(k)
             if _orbit(1 << d, form.generators) >> k & 1:
-                children.append((form.code, _pack(form.generators, form.witness)))
+                packed = _pack(form.generators, form.witness) if pack else b""
+                children.append((form.code, packed))
     return children, kept
 
 
-def _extend(level: FeasibleLevel, shared, jobs: int = 1, pool=None) -> FeasibleLevel:
+def _extend(
+    level: FeasibleLevel, shared, jobs: int = 1, pool=None, pack: bool = True
+) -> FeasibleLevel:
     """Level k+1 from level k: in `pool`'s `jobs` workers when there is a
-    pool and the level is wide enough, else in process."""
+    pool and the level is wide enough, else in process.  With pack false
+    the new level carries no generators, so it cannot be extended."""
     k = level.k
     if k >= 16:
         raise ValueError("levels beyond 16 vertices are unsupported")
     shared[2].value = 0  # the level's clean-mask counter
-    parents = tuple(zip(level.codes(), level.generators))
+    parents = tuple(zip((g.bits for g in level.graphs), level.generators, strict=True))
     if pool is None or level.count < 2 * jobs:
-        results = [_expand_chunk((k, parents), shared)]
+        results = [_expand_chunk((k, parents, pack), shared)]
     else:
         # round robin, so each chunk gets a share of every stretch of the
         # level, and four chunks per worker, so none waits long on another
         n = min(4 * jobs, level.count)
-        chunks = [(k, parents[i::n]) for i in range(n)]
+        chunks = [(k, parents[i::n], pack) for i in range(n)]
         results = list(pool.map(_expand_chunk, chunks))
     children = sorted(child for chunk, _ in results for child in chunk)
     if any(a[0] == b[0] for a, b in zip(children, children[1:])):
         raise RuntimeError(f"a class of level {k + 1} was generated twice")
     kept = sum(chunk_kept for _, chunk_kept in results)
     graphs = tuple(Graph(k + 1, code) for code, _ in children)
-    return FeasibleLevel(k + 1, graphs, kept, tuple(packed for _, packed in children))
+    generators = tuple(packed for _, packed in children) if pack else ()
+    return FeasibleLevel(k + 1, graphs, kept, generators)
 
 
 def extend_level(
@@ -351,7 +380,8 @@ def run_search(
                 pool = ProcessPoolExecutor(opts.jobs, _FORK, _share, shared)
                 stack.enter_context(pool)
             expanded = level.count << level.k
-            level = _extend(level, shared, opts.jobs, pool)
+            # the top level is never extended, so it needs no generators
+            level = _extend(level, shared, opts.jobs, pool, level.k + 1 < n_max)
             report.levels.append(
                 {
                     "k": level.k,
@@ -373,6 +403,8 @@ def run_search(
             if max(level.kept, level.count) > opts.cap:
                 report.verdict = {"kind": "cap-exceeded", "k": level.k}
                 raise SearchCapExceeded(report)
+        if opts.collect_witnesses or opts.witness_path:
+            codes = final.codes(pool, opts.jobs)
     if level.count == 0:
         report.verdict = {"kind": "empty-at-k", "k": level.k}
     else:
@@ -382,7 +414,7 @@ def run_search(
             "count": level.count,
         }
     if opts.collect_witnesses or opts.witness_path:
-        lines = [g.to_graph6() for g in final.graphs]
+        lines = [Graph(final.k, code).to_graph6() for code in codes]
         report.witnesses = {"k": final.k, "count": final.count}
         if opts.witness_path:
             with open(opts.witness_path, "w", encoding="utf-8") as fh:

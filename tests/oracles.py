@@ -5,8 +5,9 @@ more obvious route: all permutations instead of a pruned backtrack or a
 numpy table of vertex orders, all labeled colorings instead of the
 one-vertex-at-a-time search, Gaussian elimination instead of the
 characteristic polynomial, dense Faddeev-LeVerrier instead of sparse power
-sums.  `validate_level` checks the invariants of one search level.  They
-are capped to small inputs and no command runs them.
+sums.  `validate_level` checks the invariants of one search level, and
+`assert_keyed_form` those of one keyed canonical form.  They are capped to
+small inputs and no command runs them.
 """
 
 import itertools
@@ -48,10 +49,12 @@ def triangle_count(g: Graph) -> int:
     )
 
 
-def automorphism_count(g: Graph) -> int:
-    """|Aut(g)|: every vertex map built one vertex at a time, keeping those
-    that preserve adjacency to the vertices already mapped."""
+def automorphism_count(g: Graph, keys=None) -> int:
+    """|Aut(g)|, or the number of automorphisms that keep every key: every
+    vertex map built one vertex at a time, keeping those that preserve
+    adjacency to the vertices already mapped (and the key)."""
     rows = g.rows()
+    keys = keys or [0] * g.n
 
     def extend(image):
         i = len(image)
@@ -61,6 +64,7 @@ def automorphism_count(g: Graph) -> int:
             extend(image + [w])
             for w in range(g.n)
             if w not in image
+            and keys[w] == keys[i]
             and all(rows[i] >> u & 1 == rows[w] >> image[u] & 1 for u in range(i))
         )
 
@@ -97,16 +101,21 @@ def _lex_value(rows, order):
     return value
 
 
-def canonical_form_bruteforce(g: Graph) -> CanonicalForm:
-    """All-permutations canonical form; independent oracle for small n."""
+def canonical_form_bruteforce(g: Graph, keys=None) -> CanonicalForm:
+    """All-permutations canonical form, over the orders that list the
+    vertices by ascending key when given `keys`; independent oracle for
+    small n."""
     if g.n > 8:
         raise GraphError("brute-force canonicalization capped at n <= 8")
     if g.n <= 1:
         return CanonicalForm(0, tuple(range(g.n)))
     rows = g.rows()
+    keys = keys or [0] * g.n
     best_lex = None
     best_order = None
     for order in itertools.permutations(range(g.n)):
+        if any(keys[u] > keys[v] for u, v in zip(order, order[1:])):
+            continue
         lex = _lex_value(rows, order)
         if best_lex is None or lex < best_lex:
             best_lex = lex
@@ -256,19 +265,52 @@ def brute_force_level_codes(fam: ForbiddenFamily, n: int) -> tuple[int, ...]:
     return tuple(sorted(codes))
 
 
+def search_keys(g: Graph) -> list[int]:
+    """Each vertex's degree << 8 | its neighbours' degree sum, one vertex at
+    a time: the keys the search labels its classes by."""
+    rows = g.rows()
+    deg = [row.bit_count() for row in rows]
+    return [
+        deg[v] << 8 | sum(deg[u] for u in range(g.n) if rows[v] >> u & 1)
+        for v in range(g.n)
+    ]
+
+
+def assert_keyed_form(g, keys, rng):
+    """A keyed canonical form realizes its code, does not depend on the
+    labeling (keys moved along), and its generators generate the group of
+    automorphisms that keep every key."""
+    cf = canonical_form(g, keys)
+    assert permute(g, cf.witness).bits == cf.code
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    moved = [0] * g.n
+    for v, key in enumerate(keys):
+        moved[perm[v]] = key
+    assert canonical_form(permute(g, perm), moved).code == cf.code
+    for h in cf.generators:
+        assert permute(g, h) == g and [keys[v] for v in h] == list(keys), (g, h)
+    assert len(group_closure(cf.generators, g.n)) == automorphism_count(g, keys), g
+
+
 def validate_level(level: FeasibleLevel, fam: ForbiddenFamily) -> None:
-    """Raise AssertionError unless the level's codes strictly increase and
-    each graph has k vertices, is canonical and is clean under `fam`."""
-    codes = level.codes()
-    if list(codes) != sorted(set(codes)):
-        raise AssertionError(f"level {level.k} codes not strictly increasing")
+    """Raise AssertionError unless the level's edge bitsets strictly
+    increase, each graph has k vertices, is a fixed point of the search's
+    keyed canonical form and is clean under `fam`, and the lex-min codes of
+    the graphs are distinct."""
+    bits = [g.bits for g in level.graphs]
+    if bits != sorted(set(bits)):
+        raise AssertionError(f"level {level.k} graphs not strictly increasing")
     for g in level.graphs:
         if g.n != level.k:
             raise AssertionError(f"level {level.k} holds a graph on {g.n} vertices")
-        if canonical_form(g).code != g.bits:
+        if canonical_form(g, search_keys(g)).code != g.bits:
             raise AssertionError(f"level {level.k} graph not canonical: {g}")
         if is_forbidden(g, fam):
             raise AssertionError(f"level {level.k} graph is forbidden: {g}")
+    codes = level.codes()
+    if len(set(codes)) != len(codes):
+        raise AssertionError(f"level {level.k} holds two graphs of one class")
 
 
 # -- signature ---------------------------------------------------------------

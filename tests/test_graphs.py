@@ -24,11 +24,13 @@ from champagne.graphs import (
 from champagne import catalog
 from conftest import graph_with_permutation, graphs, random_graph
 from oracles import (
+    assert_keyed_form,
     automorphism_count,
     canonical_form_bruteforce,
     degree_multiset,
     group_closure,
     path_graph,
+    search_keys,
     star_graph,
     triangle_count,
 )
@@ -423,3 +425,47 @@ def test_canonical_forms_are_pinned():
 def test_canonical_codes_partition_all_graphs_on_4_vertices():
     codes = {canonical_form(Graph(4, bits)).code for bits in range(64)}
     assert len(codes) == 11  # the classes of simple graphs on 4 vertices
+
+
+# -- keyed canonical forms ----------------------------------------------------
+
+
+def test_keyed_forms_on_random_graphs():
+    rng = random.Random(15)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(0, 10))
+        assert canonical_form(g, None) == canonical_form(g)
+        # one key class is the keyless walk
+        assert canonical_form(g, [7] * g.n) == canonical_form(g)
+        assert_keyed_form(g, search_keys(g), rng)
+        assert_keyed_form(g, [rng.randrange(3) for _ in range(g.n)], rng)
+
+
+@pytest.mark.parametrize(
+    "g", [catalog.cycle_graph(16), catalog.complete_bipartite(6, 6)], ids=["C16", "K6,6"]
+)
+def test_keyed_forms_on_symmetric_graphs(g):
+    rng = random.Random(g.n)
+    assert canonical_form(g, None) == canonical_form(g)
+    # both are vertex-transitive, so invariant keys are constant and change
+    # nothing; uneven keys leave a smaller group with many ties
+    assert canonical_form(g, search_keys(g)) == canonical_form(g)
+    if g.n == 16:
+        assert_keyed_form(g, search_keys(g), rng)
+    for keys in ([v % 3 for v in range(g.n)], [v // 5 for v in range(g.n)]):
+        assert_keyed_form(g, keys, rng)
+
+
+@given(graphs(max_n=7), st.data())
+@settings(max_examples=150)
+def test_keyed_code_matches_bruteforce(g, data):
+    # the least slot sequence over the orders that list the keys ascending
+    keys = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    cf = canonical_form(g, keys)
+    assert cf.code == canonical_form_bruteforce(g, keys).code
+    assert sorted(keys) == [keys[v] for v in sorted(range(g.n), key=cf.witness.__getitem__)]
+
+
+def test_keys_must_match_the_vertex_count():
+    with pytest.raises(GraphError):
+        canonical_form(Graph(3), [0, 1])

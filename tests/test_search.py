@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from conftest import feasible_levels
 from oracles import (
+    assert_keyed_form,
     brute_force_check,
     brute_force_level_codes,
     clean_extensions_scalar,
     group_closure,
+    search_keys,
     validate_level,
 )
 
@@ -63,7 +65,7 @@ def expand(parent, fam):
     """Accepted child codes and clean-mask count of one parent."""
     packed = FeasibleLevel(parent.n, (parent,)).generators[0]
     shared = (fam, DEFAULT_SURVIVOR_CAP, multiprocessing.Value("q", 0))
-    children, kept = _expand_chunk((parent.n, ((parent.bits, packed),)), shared)
+    children, kept = _expand_chunk((parent.n, ((parent.bits, packed),), True), shared)
     return [code for code, _ in children], kept
 
 
@@ -196,15 +198,15 @@ def test_report_bytes_pin_canonical_codes(fam, n, digest, jobs):
 
 @pytest.fixture(scope="module", params=["default-10", "r44-8"])
 def every_child(request):
-    """Each parent of every level below the top, with the canonical form of
-    each of its clean extensions, masks ascending: every child, not one per
-    orbit."""
+    """Each parent of every level below the top, in its lex-min labeling and
+    ascending, with the canonical form of each of its clean extensions, masks
+    ascending: every child, not one per orbit."""
     name, n = {"default-10": ("default", 10), "r44-8": ("r44", 8)}[request.param]
     fam = FAMILIES[name]
     parents = []
     for level in search_levels(name, n - 1):
         shift = pair_count(level.k)
-        for parent in level.graphs:
+        for parent in (Graph(level.k, code) for code in level.codes()):
             forms = [
                 canonical_form(Graph(level.k + 1, parent.bits | mask << shift))
                 for mask in _clean_extensions(parent, fam).tolist()
@@ -242,10 +244,29 @@ def test_orbit_pruned_expansion_matches_every_mask(every_child):
             if parent.n == k:
                 codes, kept = expand(parent, fam)
                 assert kept == len(forms)
-                accepted += codes
+                # the search labels children its own way; compare lex-min codes
+                accepted += [canonical_form(Graph(k + 1, c)).code for c in codes]
                 every |= {cf.code for cf in forms}
         assert len(accepted) == len(set(accepted))
         assert set(accepted) == every
+
+
+def test_keyed_forms_on_every_r44_child():
+    # every clean child on levels 2..8 of the R(4,4) search, keyed by the
+    # column the search computes for it
+    rng = random.Random(44)
+    children = 0
+    for level in search_levels("r44", 7):
+        k, shift = level.k, pair_count(level.k)
+        for parent in level.graphs:
+            masks = _clean_extensions(parent, R44)
+            columns = search._invariants(parent.rows(), masks, k).T.tolist()
+            for mask, keys in zip(masks.tolist(), columns):
+                child = Graph(k + 1, parent.bits | mask << shift)
+                assert keys == search_keys(child)
+                assert_keyed_form(child, keys, rng)
+                children += 1
+    assert children == 26010
 
 
 @pytest.mark.parametrize("name, top", [("default", 9), ("r44", 7), ("r35", 11)])
@@ -303,8 +324,8 @@ def test_shared_kept_count_loses_no_update():
     ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("q", 0)
     level = search_levels("default", 8)[-1]
-    parents = tuple(zip(level.codes(), level.generators))
-    chunks = [(8, parents[i::4]) for i in range(4)]
+    parents = tuple(zip((g.bits for g in level.graphs), level.generators))
+    chunks = [(8, parents[i::4], True) for i in range(4)]
     shared = (FAM, DEFAULT_SURVIVOR_CAP, counter)
     with ProcessPoolExecutor(4, ctx, search._share, shared) as pool:
         results = list(pool.map(_expand_chunk, chunks, timeout=120))
@@ -344,6 +365,24 @@ def test_carried_generators_generate_the_automorphism_group(name, n):
             assert group_closure(carried, g.n) == expected
 
 
+def test_top_level_carries_no_generators(monkeypatch):
+    # run_search never extends its top level, so it packs no generators
+    # for it, and such a level cannot be extended
+    levels = []
+    extend = search._extend
+
+    def recording(*args):
+        levels.append(extend(*args))
+        return levels[-1]
+
+    monkeypatch.setattr(search, "_extend", recording)
+    run_search(R34, 6)
+    assert [level.count for level in levels] == GOLDEN_R34[1:6]
+    assert [len(level.generators) for level in levels] == GOLDEN_R34[1:5] + [0]
+    with pytest.raises(ValueError):
+        extend_level(levels[-1], R34)
+
+
 def test_hand_built_level_gets_its_generators():
     graphs = (catalog.cycle_graph(5), Graph.empty(5))
     level = FeasibleLevel(5, graphs)
@@ -358,9 +397,9 @@ def test_each_class_is_canonicalized_once(monkeypatch, name, n, calls):
     # graph; none for a parent, whose generators its level carries
     count = [0]
 
-    def counting(g):
+    def counting(g, keys=None):
         count[0] += 1
-        return canonical_form(g)
+        return canonical_form(g, keys)
 
     monkeypatch.setattr(search, "canonical_form", counting)
     run_search(FAMILIES[name], n)
