@@ -26,8 +26,12 @@ the designated vertex d, the one labeled last, under the child's
 automorphisms.  Families are hereditary, so the child minus d is clean: each
 class comes from exactly one parent and one orbit of its masks.  The `kept`
 count of a level still counts every clean mask.  The keyless, lex-min code
-of a class is computed only for output, by `FeasibleLevel.codes`.  With
-several jobs, one fork pool serves a search.
+of a class is computed only for output, by `FeasibleLevel.codes`.
+
+`levels` is the one level driver: it yields level 1 and then each next
+level.  `Workers` owns a search's fork pool, opened at the first call wide
+enough to split, and its one chunked map, which serves the level step and
+the output codes alike.
 
 The test suite checks both emptiness verdicts and per-level class sets
 against a direct enumeration of all labeled colorings (n <= 7) in
@@ -40,7 +44,6 @@ import itertools
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -52,6 +55,7 @@ from .graphs import Graph, _orbit, canonical_form, pair_count
 from .jsonout import dumps
 
 DEFAULT_SURVIVOR_CAP = 50_000_000
+LEVEL_FIELDS = ("k", "count", "expanded", "kept", "seconds")  # a report level
 
 
 class SearchCapExceeded(RuntimeError):
@@ -69,43 +73,35 @@ class FeasibleLevel:
     """All clean colorings of K_k, one per class.  The search stores each in
     its own labeling, a fixed point of `canonical_form` keyed by (degree,
     neighbours' degree sum), sorted by those codes; `codes()` gives the
-    classes' lex-min output codes.  `kept` counts the clean masks of the
-    step that made the level.  `generators` packs, per graph, generators of
-    its automorphism group, k bytes each (the images of vertices 0..k-1); a
-    level built without them computes them, and the top level of
-    `run_search`, which is never extended, carries none (an empty tuple)."""
+    classes' lex-min output codes.  `generators` packs, per graph,
+    generators of its automorphism group, k bytes each (the images of
+    vertices 0..k-1); the default is level 1's, and the top level of
+    `levels`, which is never extended, carries none (an empty tuple).
+    `expanded`, `kept` and `seconds` are the step that made the level: the
+    masks it tried, the clean ones among them and its wall time in s."""
 
     k: int
     graphs: tuple[Graph, ...]
     kept: int = field(default=1, compare=False)
-    generators: tuple | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.generators is None:  # a level built by hand
-            gens = tuple(
-                _pack(canonical_form(g).generators, range(g.n)) for g in self.graphs
-            )
-            object.__setattr__(self, "generators", gens)
+    generators: tuple = field(default=(b"",), compare=False, repr=False)
+    expanded: int = field(default=1, compare=False)
+    seconds: float = field(default=0.0, compare=False)
 
     @property
     def count(self) -> int:
         return len(self.graphs)
 
-    def codes(self, pool=None, jobs: int = 1) -> tuple[int, ...]:
+    def codes(self, workers: Workers | None = None) -> tuple[int, ...]:
         """The lex-min canonical codes of the classes, ascending: the codes
-        every output shows; in `pool`'s `jobs` workers when there is a pool
-        and the level is wide enough."""
+        every output shows; through `workers` when given."""
         bits = tuple(g.bits for g in self.graphs)
-        if pool is None or self.count < 2 * jobs:
-            return tuple(sorted(_lex_codes((self.k, bits))))
-        n = min(4 * jobs, self.count)
-        chunks = pool.map(_lex_codes, [(self.k, bits[i::n]) for i in range(n)])
+        chunks = (workers or Workers()).map(_lex_codes, self.k, bits)
         return tuple(sorted(code for chunk in chunks for code in chunk))
 
 
-def _lex_codes(chunk) -> list[int]:
+def _lex_codes(chunk, shared=None) -> list[int]:
     """The lex-min canonical codes of a run of k-vertex graphs, given as
-    (k, edge bitsets)."""
+    (k, edge bitsets); a `Workers.map` function that needs no shared state."""
     k, bits = chunk
     return [canonical_form(Graph(k, b)).code for b in bits]
 
@@ -258,6 +254,37 @@ def _share(fam, cap, counter) -> None:
     _shared = fam, cap, counter
 
 
+class Workers:
+    """A search's process pool and its one chunked map.  The fork pool of
+    `jobs` workers opens at the first call with at least two items per
+    worker, and leaving the `with` block, even by an error, joins it.  Each
+    worker gets (fam, cap, the level's clean-mask counter) when it starts."""
+
+    def __init__(self, fam=None, cap: int = DEFAULT_SURVIVOR_CAP, jobs: int = 1):
+        self.shared = (fam, cap, _FORK.Value("q", 0))
+        self.jobs, self.pool = jobs, None
+
+    def __enter__(self) -> Workers:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def map(self, fn, k: int, items: tuple, *extra) -> list:
+        """fn over chunks (k, run of items, *extra), one result per chunk:
+        in process, as one chunk, when there is one job or the call is
+        narrow, else in the pool."""
+        if self.jobs == 1 or len(items) < 2 * self.jobs:
+            return [fn((k, items, *extra), self.shared)]
+        if self.pool is None:
+            self.pool = ProcessPoolExecutor(self.jobs, _FORK, _share, self.shared)
+        # round robin, so each chunk gets a share of every stretch of the
+        # items, and four chunks per worker, so none waits long on another
+        n = min(4 * self.jobs, len(items))
+        return list(self.pool.map(fn, [(k, items[i::n], *extra) for i in range(n)]))
+
+
 def _expand_chunk(chunk, shared=None):
     """Accepted (code, packed generators) children and the clean-mask count
     over a run of k-vertex parents, given the same way, as (k, parents,
@@ -300,48 +327,50 @@ def _expand_chunk(chunk, shared=None):
     return children, kept
 
 
-def _extend(
-    level: FeasibleLevel, shared, jobs: int = 1, pool=None, pack: bool = True
-) -> FeasibleLevel:
-    """Level k+1 from level k: in `pool`'s `jobs` workers when there is a
-    pool and the level is wide enough, else in process.  With pack false
-    the new level carries no generators, so it cannot be extended."""
+def _extend(level: FeasibleLevel, workers: Workers, pack: bool) -> FeasibleLevel:
+    """Level k+1 from level k through `workers`.  With pack false the new
+    level carries no generators, so it cannot be extended."""
+    t0 = time.perf_counter()
     k = level.k
     if k >= 16:
         raise ValueError("levels beyond 16 vertices are unsupported")
-    shared[2].value = 0  # the level's clean-mask counter
+    workers.shared[2].value = 0  # the level's clean-mask counter
     parents = tuple(zip((g.bits for g in level.graphs), level.generators, strict=True))
-    if pool is None or level.count < 2 * jobs:
-        results = [_expand_chunk((k, parents, pack), shared)]
-    else:
-        # round robin, so each chunk gets a share of every stretch of the
-        # level, and four chunks per worker, so none waits long on another
-        n = min(4 * jobs, level.count)
-        chunks = [(k, parents[i::n], pack) for i in range(n)]
-        results = list(pool.map(_expand_chunk, chunks))
+    results = workers.map(_expand_chunk, k, parents, pack)
     children = sorted(child for chunk, _ in results for child in chunk)
     if any(a[0] == b[0] for a, b in zip(children, children[1:])):
         raise RuntimeError(f"a class of level {k + 1} was generated twice")
-    kept = sum(chunk_kept for _, chunk_kept in results)
-    graphs = tuple(Graph(k + 1, code) for code, _ in children)
-    generators = tuple(packed for _, packed in children) if pack else ()
-    return FeasibleLevel(k + 1, graphs, kept, generators)
+    return FeasibleLevel(
+        k + 1,
+        tuple(Graph(k + 1, code) for code, _ in children),
+        sum(chunk_kept for _, chunk_kept in results),
+        tuple(packed for _, packed in children) if pack else (),
+        level.count << k,
+        round(time.perf_counter() - t0, 3),
+    )
 
 
 def extend_level(
-    level: FeasibleLevel,
-    fam: ForbiddenFamily,
-    jobs: int = 1,
-    cap: int = DEFAULT_SURVIVOR_CAP,
+    level: FeasibleLevel, fam: ForbiddenFamily, jobs: int = 1
 ) -> FeasibleLevel:
-    """Level k+1 from level k, in a pool of its own when jobs > 1; the
-    chunks stop early, with partial counts, once the level's clean-mask
-    count passes `cap`."""
-    shared = (fam, cap, _FORK.Value("q", 0))
-    if jobs == 1 or level.count < 2 * jobs:
-        return _extend(level, shared)
-    with ProcessPoolExecutor(jobs, _FORK, _share, shared) as pool:
-        return _extend(level, shared, jobs, pool)
+    """Level k+1 from level k, with generators, in a pool of its own when
+    jobs > 1 and the level is wide enough."""
+    with Workers(fam, DEFAULT_SURVIVOR_CAP, jobs) as workers:
+        return _extend(level, workers, True)
+
+
+def levels(fam: ForbiddenFamily, n_max: int, workers: Workers | None = None):
+    """Level 1, then each next level, up to n_max vertices or the first
+    empty level; through `workers` when given, else in process.  The chunks
+    of a level stop early, with partial counts, once its clean-mask count
+    passes the workers' cap."""
+    workers = workers or Workers(fam)
+    level = FeasibleLevel(1, (Graph(1, 0),))
+    yield level
+    while level.k < n_max and level.count > 0:
+        # level n_max is never extended, so it needs no generators
+        level = _extend(level, workers, level.k + 1 < n_max)
+        yield level
 
 
 def run_search(
@@ -358,53 +387,33 @@ def run_search(
         raise ValueError("n_max must be in 1..16")
     opts = opts or SearchOptions()
     report = SearchReport(
-        family=fam.describe(),
-        n_max=n_max,
-        jobs=opts.jobs,
-        cap=opts.cap,
-        seed=opts.seed,
+        family=fam.describe(), n_max=n_max, jobs=opts.jobs, cap=opts.cap, seed=opts.seed
     )
     start = time.perf_counter()
-    level = FeasibleLevel(1, (Graph(1, 0),))
-    report.levels.append(
-        {"k": 1, "count": 1, "expanded": 1, "kept": 1, "seconds": 0.0}
-    )
-    final = level  # the last non-empty level
-    # one pool per search; leaving the block, even by an error, joins its workers
-    shared = (fam, opts.cap, _FORK.Value("q", 0))
-    pool = None
-    with ExitStack() as stack:
-        while level.k < n_max and level.count > 0:
-            t0 = time.perf_counter()
-            if pool is None and opts.jobs > 1 and level.count >= 2 * opts.jobs:
-                pool = ProcessPoolExecutor(opts.jobs, _FORK, _share, shared)
-                stack.enter_context(pool)
-            expanded = level.count << level.k
-            # the top level is never extended, so it needs no generators
-            level = _extend(level, shared, opts.jobs, pool, level.k + 1 < n_max)
-            report.levels.append(
-                {
-                    "k": level.k,
-                    "count": level.count,
-                    "expanded": expanded,
-                    "kept": level.kept,
-                    "seconds": round(time.perf_counter() - t0, 3),
-                }
-            )
-            if opts.progress:
+    with Workers(fam, opts.cap, opts.jobs) as workers:
+        for level in levels(fam, n_max, workers):
+            report.levels.append({key: getattr(level, key) for key in LEVEL_FIELDS})
+            if opts.progress and level.k > 1:
                 print(
-                    f"level={level.k} expanded={expanded} kept={level.kept} "
+                    f"level={level.k} expanded={level.expanded} kept={level.kept} "
                     f"classes={level.count} elapsed={time.perf_counter() - start:.2f}",
                     file=sys.stderr,
                 )
             if level.count > 0:
-                final = level
+                final = level  # the last non-empty level
             # the chunks stop once the level passes the cap: the counts are partial
             if max(level.kept, level.count) > opts.cap:
                 report.verdict = {"kind": "cap-exceeded", "k": level.k}
                 raise SearchCapExceeded(report)
         if opts.collect_witnesses or opts.witness_path:
-            codes = final.codes(pool, opts.jobs)
+            lines = [Graph(final.k, code).to_graph6() for code in final.codes(workers)]
+            report.witnesses = {"k": final.k, "count": final.count}
+            if opts.witness_path:
+                with open(opts.witness_path, "w", encoding="utf-8") as fh:
+                    fh.write("\n".join(lines) + "\n")
+                report.witnesses["path"] = opts.witness_path
+            if opts.collect_witnesses:
+                report.witnesses["graph6"] = lines
     if level.count == 0:
         report.verdict = {"kind": "empty-at-k", "k": level.k}
     else:
@@ -413,14 +422,4 @@ def run_search(
             "k": level.k,
             "count": level.count,
         }
-    if opts.collect_witnesses or opts.witness_path:
-        lines = [Graph(final.k, code).to_graph6() for code in codes]
-        report.witnesses = {"k": final.k, "count": final.count}
-        if opts.witness_path:
-            with open(opts.witness_path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-            report.witnesses["path"] = opts.witness_path
-        if opts.collect_witnesses:
-            report.witnesses["graph6"] = lines
     return report
-

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from champagne.graphs import Graph, pair_count
-from champagne.search import FeasibleLevel, extend_level
+from champagne.search import FeasibleLevel, levels
 
 
 @st.composite
@@ -40,12 +40,7 @@ def isomorphic_by_permutations(g: Graph, h: Graph) -> bool:
 
 def feasible_levels(fam, n_max: int) -> list[FeasibleLevel]:
     """Levels 1.. of the search, up to n_max or the first empty level."""
-    level = FeasibleLevel(1, (Graph(1, 0),))
-    levels = [level]
-    while level.k < n_max and level.count > 0:
-        level = extend_level(level, fam)
-        levels.append(level)
-    return levels
+    return list(levels(fam, n_max))
 
 
 @pytest.fixture

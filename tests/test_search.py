@@ -1,6 +1,7 @@
 """Level-by-level search: counts, oracles, determinism, and reporting."""
 
 import hashlib
+import itertools
 import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -63,7 +64,7 @@ def level_1():
 
 def expand(parent, fam):
     """Accepted child codes and clean-mask count of one parent."""
-    packed = FeasibleLevel(parent.n, (parent,)).generators[0]
+    packed = bytes(v for h in canonical_form(parent).generators for v in h)
     shared = (fam, DEFAULT_SURVIVOR_CAP, multiprocessing.Value("q", 0))
     children, kept = _expand_chunk((parent.n, ((parent.bits, packed),), True), shared)
     return [code for code, _ in children], kept
@@ -83,6 +84,8 @@ def test_extend_level_first_steps():
     assert f4.count == 9
     for level in (f2, f3, f4):
         validate_level(level, FAM)
+    # the carried generators and the step's counts take no part in equality
+    assert f4 == FeasibleLevel(4, f4.graphs, generators=())
 
 
 def test_level_4_matches_inline_enumeration():
@@ -323,7 +326,7 @@ def test_shared_kept_count_loses_no_update():
     # leave it below the sum of the chunks' own counts
     ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("q", 0)
-    level = search_levels("default", 8)[-1]
+    level = search_levels("default", 9)[7]  # level 8; level 9 carries no generators
     parents = tuple(zip((g.bits for g in level.graphs), level.generators))
     chunks = [(8, parents[i::4], True) for i in range(4)]
     shared = (FAM, DEFAULT_SURVIVOR_CAP, counter)
@@ -354,9 +357,13 @@ def test_one_pool_per_search_and_no_worker_outlives_it(monkeypatch):
     "name, n", [("default", 9), ("r44", 7)] + [(name, 7) for name in ONE_SIDED]
 )
 def test_carried_generators_generate_the_automorphism_group(name, n):
+    # levels 1..n; the search packs no generators for its top level, n + 1
     fam = FAMILIES.get(name) or ONE_SIDED[name]
-    levels = search_levels(name, n) if name in FAMILIES else feasible_levels(fam, n)
-    for level in levels:
+    if name in FAMILIES:
+        levels = search_levels(name, n + 1)
+    else:
+        levels = feasible_levels(fam, n + 1)
+    for level in levels[:n]:
         assert len(level.generators) == level.count
         for g, packed in zip(level.graphs, level.generators):
             carried = unpack(packed, g.n)
@@ -383,18 +390,64 @@ def test_top_level_carries_no_generators(monkeypatch):
         extend_level(levels[-1], R34)
 
 
-def test_hand_built_level_gets_its_generators():
-    graphs = (catalog.cycle_graph(5), Graph.empty(5))
-    level = FeasibleLevel(5, graphs)
-    assert [len(group_closure(unpack(p, 5), 5)) for p in level.generators] == [10, 120]
-    # generators do not take part in level equality
-    assert level == FeasibleLevel(5, graphs, generators=(b"", b""))
+def test_pooled_extend_level_matches_one_job(monkeypatch):
+    # the public step at two jobs forks a pool of its own and joins it;
+    # the level, its clean-mask count and its generators match one job
+    pools = []
+
+    def recording(jobs, *args):
+        pools.append(jobs)
+        return ProcessPoolExecutor(jobs, *args)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", recording)
+    level = search_levels("default", 9)[6]  # level 7, 158 classes
+    one, two = extend_level(level, FAM), extend_level(level, FAM, 2)
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+    assert two == one and two.count == 242
+    assert two.kept == one.kept and two.generators == one.generators
+    with search.Workers(FAM, jobs=2) as workers:
+        assert two.codes(workers) == two.codes()
+    assert pools == [2, 2]
+    assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("name, n, calls", [("default", 10, 632), ("r44", 8, 2953)])
+def closure_misses(fam, codes) -> list[int]:
+    """The lex-min codes of the clean children of level k's classes that
+    are missing from level k+1, for each pair of consecutive levels in
+    `codes`, the lex-min codes of levels 1, 2, ...  It shares no
+    augmentation, orbit, generator, key or pool code with the search."""
+    misses = []
+    for k, (parents, children) in enumerate(itertools.pairwise(codes), 1):
+        children, shift = set(children), pair_count(k)
+        for code in parents:
+            for mask in _clean_extensions(Graph(k, code), fam).tolist():
+                child = canonical_form(Graph(k + 1, code | mask << shift)).code
+                if child not in children:
+                    misses.append(child)
+    return misses
+
+
+@pytest.mark.parametrize("name, n", [("default", 10), ("r34", 9)])
+def test_levels_are_closed_under_clean_extensions(name, n):
+    # every clean child of every class of level k is a class of level k+1,
+    # and the last level is empty: the emptiness verdict, checked without
+    # trusting canonical augmentation
+    fam = {"default": FAM, "r34": R34}[name]
+    codes = [level.codes() for level in feasible_levels(fam, n)]
+    assert len(codes) == n and codes[-1] == ()
+    assert closure_misses(fam, codes) == []
+    # a class dropped from level 8 shows up as missed children
+    dropped = codes[7][len(codes[7]) // 2]
+    codes[7] = tuple(code for code in codes[7] if code != dropped)
+    misses = closure_misses(fam, codes)
+    assert misses and set(misses) == {dropped}
+
+
+@pytest.mark.parametrize("name, n, calls", [("default", 10, 631), ("r44", 8, 2952)])
 def test_each_class_is_canonicalized_once(monkeypatch, name, n, calls):
-    # one call per child that reaches the orbit test, plus the level-1
-    # graph; none for a parent, whose generators its level carries
+    # one call per child that reaches the orbit test; none for a parent,
+    # whose generators its level carries, level 1's included
     count = [0]
 
     def counting(g, keys=None):
