@@ -377,20 +377,21 @@ def check_realization(report: ConfigReport) -> RealizationReport:
     _refuse_parallel(report)
     matrix = report.matrix
     margin = float(np.abs(matrix[~np.eye(n, dtype=bool)]).min())
-    # a positive entry within the coplanarity tolerance carries no edge
-    edgeless = (matrix > 0) & (matrix <= DEGENERATE_TOL)
-    mismatches = np.argwhere(np.triu(edgeless))
+    mismatches = [  # positive entries off the chirality graph: coplanar pairs
+        (p["v"], p["w"]) for p in report.pairs
+        if (matrix[p["v"], p["w"]] > 0) != (p["chirality"] == 1)
+    ]
     sig_t = signature_of_array(matrix)
     sig_abs = signature_of_array(np.abs(matrix))
     deviation = max(abs(pair["distance"] - 1.0) for pair in report.pairs)
     return RealizationReport(n, deviation, {
         "offdiagonal_nonzero": {
-            "passed": bool(margin > DEGENERATE_TOL),
+            "passed": not report.has_coplanar,
             "min_abs_entry": margin,
         },
         "sign_pattern_matches_chirality": {
             "passed": not len(mismatches),
-            "mismatched_pairs": [(int(v), int(w)) for v, w in mismatches],
+            "mismatched_pairs": mismatches,
         },
         "at_most_3_negative_eigenvalues": {
             "passed": sig_t.n_minus <= 3,
@@ -409,8 +410,6 @@ def check_realization(report: ConfigReport) -> RealizationReport:
 
 def _unit_simplex(m: int) -> np.ndarray:
     """m points in R^(m-1) with all pairwise distances exactly 1."""
-    if m == 1:
-        return np.zeros((1, 0))
     points = np.eye(m) / math.sqrt(2.0)
     basis, _ = np.linalg.qr((points[1:] - points[0]).T)
     return (points - points[0]) @ basis

@@ -7,6 +7,10 @@ are exactly the pairs inside {0, ..., j-1}.  That makes induced subgraphs,
 one-vertex extensions, and prefix comparisons in the canonical-labeling
 search all contiguous bit ranges.
 
+Serialized forms keep that order: the first m slots, as a 0/1 string slot 0
+first, are the bitset's binary digits reversed; the canonical lex code is
+that string read in binary, and graph6 writes it six bits to a character.
+
 A graph doubles as a red/blue edge coloring of the complete graph: present
 edges are red, absent edges are blue.
 """
@@ -106,22 +110,11 @@ class Graph:
         return cls.from_edges(n, [tuple(e) for e in edges])
 
     def to_graph6(self) -> str:
-        """Encode in the standard graph6 ASCII format (n <= 62 supported)."""
-        if self.n > 62:
-            raise GraphError("graph6 encoding implemented only for n <= 62")
-        out = [chr(self.n + 63)]
+        """Encode in the standard graph6 ASCII format."""
         m = pair_count(self.n)
-        group = 0
-        filled = 0
-        for slot in range(m):
-            group = group << 1 | (self.bits >> slot & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(group + 63))
-                group = filled = 0
-        if filled:
-            out.append(chr((group << (6 - filled)) + 63))
-        return "".join(out)
+        slots = _slot_string(self.bits, m) + "00000"  # pads the last group of six
+        groups = (slots[i : i + 6] for i in range(0, m, 6))
+        return chr(self.n + 63) + "".join(chr(int(g, 2) + 63) for g in groups)
 
     @classmethod
     def from_graph6(cls, text: str) -> "Graph":
@@ -136,20 +129,13 @@ class Graph:
         body = text[1:]
         if len(body) != need:
             raise GraphError(f"graph6 body length {len(body)}, expected {need}")
-        bits = 0
-        slot = 0
         for ch in body:
-            group = ord(ch) - 63
-            if not 0 <= group < 64:
+            if not "?" <= ch <= "~":
                 raise GraphError(f"invalid graph6 byte {ch!r}")
-            for k in range(5, -1, -1):
-                bit = group >> k & 1
-                if slot < m:
-                    bits |= bit << slot
-                elif bit:
-                    raise GraphError("nonzero padding bits in graph6 string")
-                slot += 1
-        return cls(n, bits)
+        slots = "".join(f"{ord(ch) - 63:06b}" for ch in body)
+        if "1" in slots[m:]:
+            raise GraphError("nonzero padding bits in graph6 string")
+        return cls(n, int(slots[:m][::-1] or "0", 2))
 
 
 # -- elementary operations --------------------------------------------------
@@ -235,17 +221,15 @@ class CanonicalForm:
     generators: tuple[tuple[int, ...], ...] = ()
 
 
+def _slot_string(bits: int, m: int) -> str:
+    """The first m slots of `bits` as a 0/1 string, slot 0 first: its binary
+    digits reversed (the leading 1 keeps the high zeros)."""
+    return f"{bits | 1 << m:b}"[:0:-1]
+
+
 def _lex_to_bits(lex: int, n: int) -> int:
-    bits = 0
-    m = pair_count(n)
-    pos = m
-    for j in range(1, n):
-        base = j * (j - 1) // 2
-        for i in range(j):
-            pos -= 1
-            if lex >> pos & 1:
-                bits |= 1 << (base + i)
-    return bits
+    """Edge bitset of a slot sequence packed slot 0 highest; its own inverse."""
+    return int(_slot_string(lex, pair_count(n)) or "0", 2)
 
 
 def _bits(mask: int):

@@ -286,22 +286,20 @@ class Workers:
 
 
 def _expand_chunk(chunk, shared=None):
-    """Accepted (code, packed generators) children and the clean-mask count
-    over a run of k-vertex parents, given the same way, as (k, parents,
-    pack); with pack false the children carry no generators.  Stops early,
-    with the partial counts, once the level's clean-mask counter (by default
-    a pool worker's installed one) passes the cap."""
+    """Accepted (code, packed generators) children of a run of k-vertex
+    parents, given the same way, as (k, parents, pack); with pack false the
+    children carry no generators.  Adds each parent's clean masks to the
+    level's counter (by default a pool worker's installed one) and stops
+    early once that passes the cap."""
     k, parents, pack = chunk
     fam, cap, level_kept = shared or _shared
     shift = pair_count(k)
-    kept = 0
     children = []
     for bits, packed in parents:
         parent = Graph(k, bits)
         masks = _clean_extensions(parent, fam)
         if not masks.size:
             continue
-        kept += masks.size
         with level_kept.get_lock():
             level_kept.value += masks.size
             if level_kept.value > cap:
@@ -324,7 +322,7 @@ def _expand_chunk(chunk, shared=None):
             if _orbit(1 << d, form.generators) >> k & 1:
                 packed = _pack(form.generators, form.witness) if pack else b""
                 children.append((form.code, packed))
-    return children, kept
+    return children
 
 
 def _extend(level: FeasibleLevel, workers: Workers, pack: bool) -> FeasibleLevel:
@@ -337,13 +335,13 @@ def _extend(level: FeasibleLevel, workers: Workers, pack: bool) -> FeasibleLevel
     workers.shared[2].value = 0  # the level's clean-mask counter
     parents = tuple(zip((g.bits for g in level.graphs), level.generators, strict=True))
     results = workers.map(_expand_chunk, k, parents, pack)
-    children = sorted(child for chunk, _ in results for child in chunk)
+    children = sorted(child for chunk in results for child in chunk)
     if any(a[0] == b[0] for a, b in zip(children, children[1:])):
         raise RuntimeError(f"a class of level {k + 1} was generated twice")
     return FeasibleLevel(
         k + 1,
         tuple(Graph(k + 1, code) for code, _ in children),
-        sum(chunk_kept for _, chunk_kept in results),
+        workers.shared[2].value,
         tuple(packed for _, packed in children) if pack else (),
         level.count << k,
         round(time.perf_counter() - t0, 3),
@@ -401,8 +399,8 @@ def run_search(
                 )
             if level.count > 0:
                 final = level  # the last non-empty level
-            # the chunks stop once the level passes the cap: the counts are partial
-            if max(level.kept, level.count) > opts.cap:
+            # the chunks stop once kept, never below count, passes the cap
+            if level.kept > opts.cap:
                 report.verdict = {"kind": "cap-exceeded", "k": level.k}
                 raise SearchCapExceeded(report)
         if opts.collect_witnesses or opts.witness_path:

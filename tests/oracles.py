@@ -5,7 +5,8 @@ more obvious route: all permutations instead of a pruned backtrack or a
 numpy table of vertex orders, all labeled colorings instead of the
 one-vertex-at-a-time search, Gaussian elimination instead of the
 characteristic polynomial, dense Faddeev-LeVerrier instead of sparse power
-sums.  `validate_level` checks the invariants of one search level, and
+sums, a loop over the bit slots instead of one string reversal.
+`validate_level` checks the invariants of one search level, and
 `assert_keyed_form` those of one keyed canonical form.  They are capped to
 small inputs and no command runs them.
 """
@@ -19,9 +20,8 @@ import numpy as np
 
 from champagne.forbidden import ForbiddenFamily, is_forbidden
 from champagne.geometry import DirectedLine, GeometryError, LineConfig
-from champagne.graphs import (CanonicalForm, Graph, GraphError, _lex_to_bits,
-                              canonical_form, induced_code, pair_count, pair_slot,
-                              permute)
+from champagne.graphs import (CanonicalForm, Graph, GraphError, canonical_form,
+                              induced_code, pair_count, pair_slot, permute)
 from champagne.search import FeasibleLevel
 from champagne.signature import MatrixError, SymMatrix, _integer_scaled
 
@@ -123,7 +123,67 @@ def canonical_form_bruteforce(g: Graph, keys=None) -> CanonicalForm:
     witness = [0] * g.n
     for pos, v in enumerate(best_order):
         witness[v] = pos
-    return CanonicalForm(_lex_to_bits(best_lex, g.n), tuple(witness))
+    return CanonicalForm(lex_to_bits_by_slots(best_lex, g.n), tuple(witness))
+
+
+# -- slot-order codecs, one slot at a time ---------------------------------
+
+
+def lex_to_bits_by_slots(lex: int, n: int) -> int:
+    """The edge bitset of a slot sequence packed first-slot-highest."""
+    bits = 0
+    pos = pair_count(n)
+    for j in range(1, n):
+        base = j * (j - 1) // 2
+        for i in range(j):
+            pos -= 1
+            if lex >> pos & 1:
+                bits |= 1 << (base + i)
+    return bits
+
+
+def graph6_encode_by_slots(g: Graph) -> str:
+    """graph6: the slots in order, six to a character, the last zero-padded."""
+    out = [chr(g.n + 63)]
+    group = filled = 0
+    for slot in range(pair_count(g.n)):
+        group = group << 1 | (g.bits >> slot & 1)
+        filled += 1
+        if filled == 6:
+            out.append(chr(group + 63))
+            group = filled = 0
+    if filled:
+        out.append(chr((group << (6 - filled)) + 63))
+    return "".join(out)
+
+
+def graph6_decode_by_slots(text: str) -> Graph:
+    """Inverse of graph6_encode_by_slots, with the same checks in the same
+    order and the same messages as Graph.from_graph6."""
+    text = text.strip()
+    if not text:
+        raise GraphError("empty graph6 string")
+    n = ord(text[0]) - 63
+    if not 0 <= n <= 62:
+        raise GraphError("graph6 vertex count byte out of range")
+    m = pair_count(n)
+    need = (m + 5) // 6
+    body = text[1:]
+    if len(body) != need:
+        raise GraphError(f"graph6 body length {len(body)}, expected {need}")
+    bits = slot = 0
+    for ch in body:
+        group = ord(ch) - 63
+        if not 0 <= group < 64:
+            raise GraphError(f"invalid graph6 byte {ch!r}")
+        for k in range(5, -1, -1):
+            bit = group >> k & 1
+            if slot < m:
+                bits |= bit << slot
+            elif bit:
+                raise GraphError("nonzero padding bits in graph6 string")
+            slot += 1
+    return Graph(n, bits)
 
 
 @lru_cache(maxsize=64)

@@ -348,6 +348,29 @@ def test_check_realization_refuses_stray_distance_before_parallel_pair():
         check_realization(report)
 
 
+def test_check_realization_near_coplanar_pairs():
+    # lines 1 and 2 sit at 0.6 from line 0 and turn 1.5e-12 rad from it:
+    # not parallel, but their volumes against line 0 are -9e-13, inside
+    # the coplanarity tolerance, so those pairs have no chirality
+    turn = 1.5e-12
+    near = LineConfig(3, (
+        X_AXIS,
+        DirectedLine(np.array([0.0, 0.6, 0.0]), np.array([1.0, 0.0, -turn])),
+        DirectedLine(np.array([0.0, 0.0, 0.6]), np.array([1.0, turn, 0.0])),
+    ), tolerance=0.5)
+    report = check_realization(config_report(near))
+    nonzero = report.properties["offdiagonal_nonzero"]
+    assert not nonzero["passed"]
+    assert nonzero["min_abs_entry"] == pytest.approx(9e-13, rel=1e-6)
+    assert report.properties["sign_pattern_matches_chirality"]["mismatched_pairs"] == []
+    # reversed, line 1's volume against line 0 is +9e-13: a positive entry
+    # with no chirality edge
+    flipped = check_realization(config_report(near.reverse_line(1)))
+    pattern = flipped.properties["sign_pattern_matches_chirality"]
+    assert not pattern["passed"] and pattern["mismatched_pairs"] == [(0, 1)]
+    assert not flipped.passed
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_lower_bound_config(n):
     cfg = lower_bound_config(n)

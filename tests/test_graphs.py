@@ -12,6 +12,7 @@ from champagne.graphs import (
     CanonicalForm,
     Graph,
     GraphError,
+    _lex_to_bits,
     canonical_form,
     complement,
     cone,
@@ -28,7 +29,10 @@ from oracles import (
     automorphism_count,
     canonical_form_bruteforce,
     degree_multiset,
+    graph6_decode_by_slots,
+    graph6_encode_by_slots,
     group_closure,
+    lex_to_bits_by_slots,
     path_graph,
     search_keys,
     star_graph,
@@ -107,6 +111,37 @@ def test_graph6_rejects_garbage():
     # C? with a nonzero padding bit: n=4 has 6 slots, no padding; use n=2
     with pytest.raises(GraphError):
         Graph.from_graph6("A" + chr(63 + 16))  # pad bits must be zero
+
+
+def _outcome(decode, text):
+    try:
+        return decode(text)
+    except GraphError as err:
+        return type(err), str(err)
+
+
+def test_slot_string_codecs_match_the_per_slot_oracles():
+    # the slot-string encoder, decoder and lex unpacking against loops over
+    # one slot at a time, on random graphs up to 16 vertices and the catalog
+    rng = random.Random(6)
+    sample = [random_graph(rng, rng.randint(0, 16)) for _ in range(3000)]
+    for g in sample + list(catalog.CATALOG.values()):
+        text = g.to_graph6()
+        assert text == graph6_encode_by_slots(g)
+        assert Graph.from_graph6(text) == graph6_decode_by_slots(text) == g
+        assert _lex_to_bits(g.bits, g.n) == lex_to_bits_by_slots(g.bits, g.n)
+    # malformed input: the same error, message included, in the same order
+    # of checks (empty, count byte, body length, byte range, padding)
+    malformed = [
+        "", " \n", chr(62), chr(126) + "?", "Q" + "?" * 26,  # n = 18
+        "C~~", "C", "D?", "B" + chr(20), "B" + chr(127), "D?\u0100",
+        "D" + chr(20) + "\u0100", "A" + chr(63 + 16), "B" + chr(63 + 1),
+        "D?" + chr(63 + 1), "A" + chr(20), "F" + "~" * 3 + chr(20),
+    ]
+    for text in malformed:
+        outcome = _outcome(Graph.from_graph6, text)
+        assert isinstance(outcome, tuple), text
+        assert outcome == _outcome(graph6_decode_by_slots, text), text
 
 
 @given(graphs(max_n=10))

@@ -6,6 +6,7 @@ import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,8 +67,8 @@ def expand(parent, fam):
     """Accepted child codes and clean-mask count of one parent."""
     packed = bytes(v for h in canonical_form(parent).generators for v in h)
     shared = (fam, DEFAULT_SURVIVOR_CAP, multiprocessing.Value("q", 0))
-    children, kept = _expand_chunk((parent.n, ((parent.bits, packed),), True), shared)
-    return [code for code, _ in children], kept
+    children = _expand_chunk((parent.n, ((parent.bits, packed),), True), shared)
+    return [code for code, _ in children], shared[2].value
 
 
 def unpack(packed: bytes, n: int) -> list[tuple[int, ...]]:
@@ -323,7 +324,7 @@ def test_orbit_representatives_are_the_orbit_minima():
 
 def test_shared_kept_count_loses_no_update():
     # four workers on fewer cores add to one counter; a lost update would
-    # leave it below the sum of the chunks' own counts
+    # leave it below the number of clean masks of the level's parents
     ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("q", 0)
     level = search_levels("default", 9)[7]  # level 8; level 9 carries no generators
@@ -331,8 +332,9 @@ def test_shared_kept_count_loses_no_update():
     chunks = [(8, parents[i::4], True) for i in range(4)]
     shared = (FAM, DEFAULT_SURVIVOR_CAP, counter)
     with ProcessPoolExecutor(4, ctx, search._share, shared) as pool:
-        results = list(pool.map(_expand_chunk, chunks, timeout=120))
-    assert counter.value == sum(kept for _, kept in results) == 668
+        list(pool.map(_expand_chunk, chunks, timeout=120))
+    clean = sum(len(_clean_extensions(parent, FAM)) for parent in level.graphs)
+    assert counter.value == clean == 668
 
 
 def test_one_pool_per_search_and_no_worker_outlives_it(monkeypatch):
@@ -442,6 +444,26 @@ def test_levels_are_closed_under_clean_extensions(name, n):
     codes[7] = tuple(code for code in codes[7] if code != dropped)
     misses = closure_misses(fam, codes)
     assert misses and set(misses) == {dropped}
+
+
+# the lex-min codes of default levels 1-9 as graph6, by level, then code
+DEFAULT_LEVELS = Path(__file__).parent / "data" / "default_levels.g6"
+DEFAULT_LEVELS_SHA256 = "0b67729dec4de86c2e43e4f72e9c1a8ff0c1631c58a68abd100d0165c498e9e9"
+
+
+def test_bundled_default_levels_certify_emptiness_at_10():
+    # the claim's evidence as a reviewable file: it is the search's classes,
+    # and closure from it alone leaves no clean coloring of K_10
+    data = DEFAULT_LEVELS.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DEFAULT_LEVELS_SHA256
+    graphs = [Graph.from_graph6(line) for line in data.decode().splitlines()]
+    assert len(graphs) == 582
+    assert graphs == sorted(graphs, key=lambda g: (g.n, g.bits))
+    codes = [tuple(g.bits for g in graphs if g.n == k) for k in range(1, 10)]
+    assert sum(map(len, codes)) == len(graphs)
+    searched = search_levels("default", 10)
+    assert [level.codes() for level in searched[:9]] == codes
+    assert closure_misses(FAM, codes + [()]) == []
 
 
 @pytest.mark.parametrize("name, n, calls", [("default", 10, 631), ("r44", 8, 2952)])
