@@ -24,12 +24,7 @@ from . import catalog, geometry, signature
 from .forbidden import default_family, load_family, ramsey_family
 from .graphs import canonical_form
 from .jsonout import dumps
-from .search import (
-    DEFAULT_SURVIVOR_CAP,
-    SearchCapExceeded,
-    SearchOptions,
-    run_search,
-)
+from .search import DEFAULT_SURVIVOR_CAP, MAX_JOBS, SearchCapExceeded, run_search
 
 FAMILY_ALIASES = {"default": default_family, "r34": lambda: ramsey_family(3, 4)}
 LEMMA_KINDS = ("cycle(5)", "cycle(7)", "cycle(9)", "h7")
@@ -69,25 +64,25 @@ def _probe_writable(path: str) -> None:
 
 
 def cmd_search(args) -> int:
-    opts = SearchOptions(
-        jobs=args.jobs,
-        cap=args.cap,
-        witness_path=args.witnesses,
-        collect_witnesses=args.embed_witnesses,
-        progress=not args.quiet,
-        seed=args.seed,
-    )
     fam = _resolve_family(args.family)
     # a search can run for minutes: refuse an unwritable path first
     for path in (args.out, args.witnesses):
         if path:
             _probe_writable(path)
     try:
-        report = run_search(fam, args.n, opts)
+        report = run_search(
+            fam, args.n, jobs=args.jobs, cap=args.cap, progress=not args.quiet,
+            witnesses=bool(args.witnesses or args.embed_witnesses),
+        )
     except SearchCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         _emit(exc.report.to_json_obj(), args.out)
         return 3
+    if args.witnesses:
+        _write("\n".join(report.witnesses["graph6"]), args.witnesses)
+        report.witnesses["path"] = args.witnesses
+        if not args.embed_witnesses:
+            del report.witnesses["graph6"]
     _emit(report.to_json_obj(), args.out)
     return 0
 
@@ -237,9 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="default",
                    help="'default', 'r34', or a family JSON path")
     p.add_argument("--n", type=int, default=10, help="largest vertex count")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes (default: all cores)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=min(os.cpu_count() or 1, MAX_JOBS),
+                   help=f"worker processes, 1..{MAX_JOBS} (default: all cores)")
     p.add_argument("--cap", type=int, default=DEFAULT_SURVIVOR_CAP,
                    help="per-level survivor cap")
     p.add_argument("--witnesses", metavar="PATH",

@@ -21,7 +21,6 @@ Checking all one-vertex extensions then reduces to prefix lookups.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from functools import lru_cache
 from importlib import resources
@@ -116,7 +115,8 @@ def default_family() -> ForbiddenFamily:
     """The five-pattern family, each forbidden in both colors, as bundled
     in data/default_family.json."""
     data = resources.files("champagne").joinpath("data", "default_family.json")
-    return family_from_json(json.loads(data.read_text("utf-8")))
+    with data.open("r", encoding="utf-8") as fh:
+        return family_from_json(load(fh))
 
 
 def ramsey_family(r: int, b: int) -> ForbiddenFamily:

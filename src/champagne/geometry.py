@@ -207,23 +207,6 @@ def line_distance(a: DirectedLine, b: DirectedLine) -> float:
     return config_report(LineConfig(a.dim, (a, b))).pairs[0]["distance"]
 
 
-def _pairs(cfg: LineConfig):
-    """The row kernel's distances and parallel flags in the upper triangle of
-    n x n arrays, and in R^3 the signed volumes as the symmetric orientation
-    matrix; one row at a time keeps the temporaries at O(n * dim)."""
-    n = len(cfg)
-    ys = np.array([ln.base for ln in cfg.lines])
-    xs = np.array([ln.direction for ln in cfg.lines])
-    distance, parallel = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
-    volume = np.zeros((n, n)) if cfg.dim == 3 else None
-    for v in range(n - 1):
-        d, p, vol = _pair_row(ys[v], xs[v], ys[v + 1:], xs[v + 1:])
-        distance[v, v + 1:], parallel[v, v + 1:] = d, p
-        if vol is not None:
-            volume[v, v + 1:] = vol
-    return distance, parallel, None if volume is None else volume + volume.T
-
-
 @dataclass(eq=False)
 class ConfigReport:
     """Per-pair diagnostics for a line configuration; `to_json_obj` leaves
@@ -273,10 +256,25 @@ def config_report(cfg: LineConfig) -> ConfigReport:
     Validity requires every pairwise distance within tolerance of 1 and no
     parallel pair.
     """
-    distance, parallel, matrix = _pairs(cfg)
-    vs, ws = np.triu_indices(len(cfg), 1)
-    distance, parallel = distance[vs, ws], parallel[vs, ws]
-    volume = None if matrix is None else matrix[vs, ws]
+    n = len(cfg)
+    ys = np.array([ln.base for ln in cfg.lines])
+    xs = np.array([ln.direction for ln in cfg.lines])
+    vs, ws = np.triu_indices(n, 1)
+    distance, parallel = np.zeros(vs.size), np.zeros(vs.size, dtype=bool)
+    volume = np.zeros(vs.size) if cfg.dim == 3 else None
+    # row v is the pairs (v, v+1..n-1), the next stretch of the upper
+    # triangle's order; one row at a time keeps the temporaries at O(n * dim)
+    stop = 0
+    for v in range(n - 1):
+        start, stop = stop, stop + n - 1 - v
+        row = _pair_row(ys[v], xs[v], ys[v + 1:], xs[v + 1:])
+        distance[start:stop], parallel[start:stop] = row[:2]
+        if volume is not None:
+            volume[start:stop] = row[2]
+    matrix = None
+    if volume is not None:  # the symmetric orientation matrix
+        matrix = np.zeros((n, n))
+        matrix[vs, ws] = matrix[ws, vs] = volume
     # outside R^3 a non-parallel pair is coplanar only when the lines meet
     flat = distance if volume is None else np.abs(volume)
     coplanar = parallel | (flat <= DEGENERATE_TOL)

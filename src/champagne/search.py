@@ -55,6 +55,7 @@ from .graphs import Graph, _orbit, canonical_form, pair_count
 from .jsonout import dumps
 
 DEFAULT_SURVIVOR_CAP = 50_000_000
+MAX_JOBS = 64  # a fork pool starts all its workers at once, about 27 MB each
 LEVEL_FIELDS = ("k", "count", "expanded", "kept", "seconds")  # a report level
 
 
@@ -107,22 +108,6 @@ def _lex_codes(chunk, shared=None) -> list[int]:
 
 
 @dataclass
-class SearchOptions:
-    jobs: int = 1
-    cap: int = DEFAULT_SURVIVOR_CAP
-    collect_witnesses: bool = False
-    witness_path: str | None = None
-    progress: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
-
-
-@dataclass
 class SearchReport:
     """Machine-readable outcome of a run; serializes to JSON."""
 
@@ -130,7 +115,7 @@ class SearchReport:
     n_max: int
     jobs: int
     cap: int
-    seed: int
+    seed: int = 0  # the search draws nothing at random; the schema keeps the field
     levels: list = field(default_factory=list)
     verdict: dict | None = None
     witnesses: dict | None = None
@@ -256,11 +241,16 @@ def _share(fam, cap, counter) -> None:
 
 class Workers:
     """A search's process pool and its one chunked map.  The fork pool of
-    `jobs` workers opens at the first call with at least two items per
-    worker, and leaving the `with` block, even by an error, joins it.  Each
-    worker gets (fam, cap, the level's clean-mask counter) when it starts."""
+    `jobs` workers, 1..MAX_JOBS, opens at the first call with at least two
+    items per worker, and leaving the `with` block, even by an error, joins
+    it.  Each worker gets (fam, cap, the level's clean-mask counter) when it
+    starts."""
 
     def __init__(self, fam=None, cap: int = DEFAULT_SURVIVOR_CAP, jobs: int = 1):
+        if not 1 <= jobs <= MAX_JOBS:
+            raise ValueError(f"jobs must be in 1..{MAX_JOBS}")
+        if cap < 1:
+            raise ValueError("cap must be >= 1")
         self.shared = (fam, cap, _FORK.Value("q", 0))
         self.jobs, self.pool = jobs, None
 
@@ -372,26 +362,33 @@ def levels(fam: ForbiddenFamily, n_max: int, workers: Workers | None = None):
 
 
 def run_search(
-    fam: ForbiddenFamily, n_max: int, opts: SearchOptions | None = None
+    fam: ForbiddenFamily,
+    n_max: int,
+    *,
+    jobs: int = 1,
+    cap: int = DEFAULT_SURVIVOR_CAP,
+    witnesses: bool = False,
+    progress: bool = False,
 ) -> SearchReport:
-    """Grow feasible levels from the 1-vertex coloring up to n_max vertices.
+    """Grow feasible levels from the 1-vertex coloring up to n_max vertices,
+    in `jobs` processes, failing once a level's clean-mask count passes
+    `cap`; `progress` prints a line per level to stderr.
 
-    Stops early once a level is empty.  The verdict, level counts and any
-    witness output are deterministic for any worker count; only the timing
-    fields vary run to run, and the partial counts of a level that passed
-    the cap depend on where its chunks stopped.
+    Stops early once a level is empty.  With `witnesses`, the report embeds
+    the last non-empty level as graph6 lines, by ascending lex-min code.
+    The verdict, level counts and witnesses are deterministic for any
+    worker count; only the timing fields vary run to run, and the partial
+    counts of a level that passed the cap depend on where its chunks
+    stopped.
     """
     if not 1 <= n_max <= 16:
         raise ValueError("n_max must be in 1..16")
-    opts = opts or SearchOptions()
-    report = SearchReport(
-        family=fam.describe(), n_max=n_max, jobs=opts.jobs, cap=opts.cap, seed=opts.seed
-    )
+    report = SearchReport(family=fam.describe(), n_max=n_max, jobs=jobs, cap=cap)
     start = time.perf_counter()
-    with Workers(fam, opts.cap, opts.jobs) as workers:
+    with Workers(fam, cap, jobs) as workers:
         for level in levels(fam, n_max, workers):
             report.levels.append({key: getattr(level, key) for key in LEVEL_FIELDS})
-            if opts.progress and level.k > 1:
+            if progress and level.k > 1:
                 print(
                     f"level={level.k} expanded={level.expanded} kept={level.kept} "
                     f"classes={level.count} elapsed={time.perf_counter() - start:.2f}",
@@ -400,18 +397,12 @@ def run_search(
             if level.count > 0:
                 final = level  # the last non-empty level
             # the chunks stop once kept, never below count, passes the cap
-            if level.kept > opts.cap:
+            if level.kept > cap:
                 report.verdict = {"kind": "cap-exceeded", "k": level.k}
                 raise SearchCapExceeded(report)
-        if opts.collect_witnesses or opts.witness_path:
+        if witnesses:
             lines = [Graph(final.k, code).to_graph6() for code in final.codes(workers)]
-            report.witnesses = {"k": final.k, "count": final.count}
-            if opts.witness_path:
-                with open(opts.witness_path, "w", encoding="utf-8") as fh:
-                    fh.write("\n".join(lines) + "\n")
-                report.witnesses["path"] = opts.witness_path
-            if opts.collect_witnesses:
-                report.witnesses["graph6"] = lines
+            report.witnesses = {"k": final.k, "count": final.count, "graph6": lines}
     if level.count == 0:
         report.verdict = {"kind": "empty-at-k", "k": level.k}
     else:

@@ -30,7 +30,7 @@ from champagne.graphs import (
     permute,
     switch,
 )
-from champagne.search import SearchOptions, run_search
+from champagne.search import run_search
 from champagne.signature import SymMatrix, verify_pattern_lemma
 
 
@@ -215,7 +215,7 @@ def test_criterion_10_property_suites(capsys):
             break
 
     reports = [
-        run_search(fam, 8, SearchOptions(jobs=jobs, collect_witnesses=True))
+        run_search(fam, 8, jobs=jobs, witnesses=True)
         for jobs in (1, 2, 3)
     ]
     blobs = {r.to_json(with_timing=False) for r in reports}

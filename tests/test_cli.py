@@ -71,6 +71,35 @@ def test_search_writes_witnesses(capsys, tmp_path):
     assert all(Graph.from_graph6(line).n == 4 for line in lines)
     report = json.loads(out)
     assert report["witnesses"]["count"] == 9
+    assert report["witnesses"]["path"] == str(g6_path)
+    assert "graph6" not in report["witnesses"]
+
+
+def test_search_witness_file_and_embedding(capsys, tmp_path):
+    g6_path = tmp_path / "out.g6"
+    code, out, _ = run_cli(
+        capsys,
+        "search", "--family", "default", "--n", "4", "--jobs", "1",
+        "--quiet", "--witnesses", str(g6_path), "--embed-witnesses",
+    )
+    assert code == 0
+    text = g6_path.read_text()
+    lines = text.splitlines()
+    assert text == "\n".join(lines) + "\n"
+    witnesses = json.loads(out)["witnesses"]
+    assert witnesses == {"k": 4, "count": 9, "path": str(g6_path), "graph6": lines}
+    assert lines == sorted(lines, key=lambda s: Graph.from_graph6(s).bits)
+
+
+def test_search_empty_witness_path_writes_nothing(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        capsys, "search", "--family", "default", "--n", "4", "--jobs", "1",
+        "--quiet", "--witnesses", "",
+    )
+    assert code == 0
+    assert json.loads(out)["witnesses"] is None
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_search_family_file(capsys, tmp_path):
@@ -157,6 +186,42 @@ def test_search_bad_arguments_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_search_jobs_above_the_bound_exit_2(capsys, monkeypatch):
+    # refused before any pool exists: a fork pool starts all its workers at once
+    from champagne import search
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", None)
+    code, out, err = run_cli(
+        capsys, "search", "--family", "default", "--n", "10", "--quiet",
+        "--jobs", str(search.MAX_JOBS + 1),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: jobs must be in 1..{search.MAX_JOBS}\n"
+
+
+def test_search_jobs_default_is_bounded(monkeypatch):
+    from champagne import cli, search
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 10 * search.MAX_JOBS)
+    cli.build_parser.cache_clear()
+    try:
+        args = cli.build_parser().parse_args(["search"])
+    finally:
+        cli.build_parser.cache_clear()
+    assert args.jobs == search.MAX_JOBS
+
+
+def test_search_has_no_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "3", "--quiet", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "search", "--n", "3", "--jobs", "1", "--quiet")
+    assert code == 0
+    assert json.loads(out)["seed"] == 0
 
 
 def test_search_jobs_ignores_environment(capsys, monkeypatch):

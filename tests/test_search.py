@@ -31,9 +31,9 @@ from champagne.forbidden import (
 from champagne.graphs import Graph, canonical_form, complement, pair_count, permute
 from champagne.search import (
     DEFAULT_SURVIVOR_CAP,
+    MAX_JOBS,
     FeasibleLevel,
     SearchCapExceeded,
-    SearchOptions,
     _clean_extensions,
     _expand_chunk,
     _orbit_representatives,
@@ -176,7 +176,7 @@ def test_levels_are_sound_and_complement_closed():
 
 def test_deterministic_across_worker_counts():
     reports = [
-        run_search(FAM, 7, SearchOptions(jobs=j, collect_witnesses=True))
+        run_search(FAM, 7, jobs=j, witnesses=True)
         for j in (1, 2, 3)
     ]
     baseline = reports[0].to_json(with_timing=False)
@@ -195,7 +195,7 @@ def test_deterministic_across_worker_counts():
 def test_report_bytes_pin_canonical_codes(fam, n, digest, jobs):
     # the brute-force oracle stops at n <= 8; these digests pin every
     # canonical code and witness of the full searches beyond it
-    report = run_search(fam, n, SearchOptions(jobs=jobs, collect_witnesses=True))
+    report = run_search(fam, n, jobs=jobs, witnesses=True)
     text = report.to_json(with_timing=False)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -345,12 +345,12 @@ def test_one_pool_per_search_and_no_worker_outlives_it(monkeypatch):
         return ProcessPoolExecutor(jobs, *args)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", recording)
-    rep = run_search(FAM, 10, SearchOptions(jobs=2))
+    rep = run_search(FAM, 10, jobs=2)
     assert rep.verdict == {"kind": "empty-at-k", "k": 10}
     assert pools == [2]
     assert multiprocessing.active_children() == []
     with pytest.raises(SearchCapExceeded):
-        run_search(FAM, 10, SearchOptions(jobs=2, cap=100))
+        run_search(FAM, 10, jobs=2, cap=100)
     assert pools == [2, 2]
     assert multiprocessing.active_children() == []
 
@@ -481,28 +481,24 @@ def test_each_class_is_canonicalized_once(monkeypatch, name, n, calls):
     assert count[0] == calls
 
 
-def test_witness_file_and_embedding(tmp_path):
-    path = tmp_path / "out.g6"
-    rep = run_search(
-        FAM, 4, SearchOptions(witness_path=str(path), collect_witnesses=True)
-    )
-    lines = path.read_text().splitlines()
+def test_witness_embedding():
+    rep = run_search(FAM, 4, witnesses=True)
+    lines = rep.witnesses["graph6"]
     assert len(lines) == 9
-    assert lines == rep.witnesses["graph6"]
+    assert rep.witnesses == {"k": 4, "count": 9, "graph6": lines}
     assert lines == sorted(lines, key=lambda s: Graph.from_graph6(s).bits)
-    parsed = [Graph.from_graph6(s) for s in lines]
-    assert all(g.n == 4 for g in parsed)
+    assert all(Graph.from_graph6(s).n == 4 for s in lines)
 
 
 def test_witnesses_fall_back_to_last_nonempty_level():
-    rep = run_search(R34, 9, SearchOptions(collect_witnesses=True))
+    rep = run_search(R34, 9, witnesses=True)
     assert rep.witnesses["k"] == 8
     assert rep.witnesses["count"] == 3
 
 
 def test_survivor_cap():
     with pytest.raises(SearchCapExceeded) as err:
-        run_search(FAM, 6, SearchOptions(cap=10))
+        run_search(FAM, 6, cap=10)
     partial = err.value.report
     assert partial.verdict["kind"] == "cap-exceeded"
     last = partial.levels[-1]
@@ -519,7 +515,7 @@ def test_survivor_cap_stops_the_level_early(monkeypatch):
 
     monkeypatch.setattr(search, "_clean_extensions", counting)
     with pytest.raises(SearchCapExceeded) as err:
-        run_search(FAM, 10, SearchOptions(cap=100))
+        run_search(FAM, 10, cap=100)
     last = err.value.report.levels[-1]
     assert max(last["kept"], last["count"]) > 100
     capped = calls.count(last["k"] - 1)
@@ -534,9 +530,21 @@ def test_run_search_validates_arguments():
     with pytest.raises(ValueError):
         run_search(FAM, 17)
     with pytest.raises(ValueError):
-        SearchOptions(jobs=0)
+        run_search(FAM, 4, jobs=0)
     with pytest.raises(ValueError):
-        SearchOptions(cap=0)
+        run_search(FAM, 4, cap=0)
+
+
+def test_workers_bound_jobs_before_any_pool(monkeypatch):
+    # a fork pool starts all its workers at its first submit
+    monkeypatch.setattr(search, "ProcessPoolExecutor", None)
+    with pytest.raises(ValueError, match=f"1..{MAX_JOBS}"):
+        search.Workers(FAM, jobs=MAX_JOBS + 1)
+    with pytest.raises(ValueError):
+        extend_level(FeasibleLevel(1, (Graph(1, 0),)), FAM, MAX_JOBS + 1)
+    with pytest.raises(ValueError):
+        run_search(FAM, 4, jobs=MAX_JOBS + 1)
+    assert multiprocessing.active_children() == []
 
 
 def test_extend_level_refuses_to_grow_past_16():
