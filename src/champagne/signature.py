@@ -1,15 +1,15 @@
 """Inertia of real symmetric matrices, exact and floating-point.
 
-The exact route takes a `SymMatrix` of `Fraction` entries, clears
-denominators and computes the characteristic polynomial of the resulting
-integer matrix: power sums tr(B^k) from the sparse powers B^0..B^ceil(n/2),
-then Newton's identities with exact integer divisions.  A symmetric
-matrix has only real eigenvalues, so Descartes' sign-variation count on the
-coefficients is not a bound but the exact number of positive roots; with
-the multiplicity of the zero root read off the trailing zero coefficients,
-that yields the full signature.  This avoids pivoting entirely, which
-matters because the sign-pattern matrices verified here have zero
-diagonals.
+The exact route takes a `SymMatrix`, integer numerators over one common
+denominator, and computes the characteristic polynomial of the numerator
+matrix in integers: power sums tr(B^k) from the sparse powers
+B^0..B^ceil(n/2), then Newton's identities with exact integer divisions.
+A symmetric matrix has only real eigenvalues, so Descartes' sign-variation
+count on the coefficients is not a bound but the exact number of positive
+roots; with the multiplicity of the zero root read off the trailing zero
+coefficients, that yields the full signature.  This avoids pivoting
+entirely, which matters because the sign-pattern matrices verified here
+have zero diagonals.
 
 The floating route (`signature_of_array`, for the line geometry) takes
 numpy's symmetric eigensolver (`eigvalsh`) on an ndarray normalized to unit
@@ -20,9 +20,10 @@ families: odd cyclic band matrices (positive on the +-1 mod n band, zero
 elsewhere) whose determinant is 2 * prod of the band entries and whose
 signature depends only on n mod 4, and 7x7 matrices positive exactly on
 the edges of the catalog graph H7, which have negative determinant and
-signature (4,3).  Randomized sampling is evidence that the signature is
-constant on each family, not a proof; reports carry a `method` field
-saying so.
+signature (4,3).  Samples, checks and both closed forms stay in integers;
+`Fraction`s are built only for return values and problem messages.
+Randomized sampling is evidence that the signature is constant on each
+family, not a proof; reports carry a `method` field saying so.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import operator
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -61,23 +63,37 @@ class Signature(NamedTuple):
 
 
 class SymMatrix:
-    """Symmetric matrix of exact `Fraction` entries, built from its rows.
+    """Symmetric matrix of exact rationals: integer `numerators` over one
+    positive common `denominator`, validated square and symmetric.
 
-    Construction validates that the rows are square and symmetric.
+    `rows` hold ints or `Fraction`s, each entry read as divided by
+    `denominator`; the lcm of any `Fraction` denominators is cleared once.
     """
 
-    def __init__(self, rows):
-        self.entries = tuple(
-            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
-            for row in rows
-        )
-        self.n = n = len(self.entries)
-        if any(len(r) != n for r in self.entries):
-            raise MatrixError(f"entries are not {n}x{n}")
+    def __init__(self, rows, denominator: int = 1):
+        rows = [list(row) for row in rows]
+        self.n = n = len(rows)
+        if any(len(r) != n for r in rows) or denominator < 1:
+            raise MatrixError(f"entries are not {n}x{n} over a positive denominator")
+        if not all(type(x) is int for row in rows for x in row):
+            rows = [[Fraction(x) for x in row] for row in rows]
+            scale = math.lcm(*(x.denominator for row in rows for x in row))
+            rows = [[x.numerator * (scale // x.denominator) for x in r] for r in rows]
+            denominator *= scale
         for i in range(n):
             for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
+                if rows[i][j] != rows[j][i]:
                     raise MatrixError(f"not symmetric at ({i},{j})")
+        self.numerators = tuple(map(tuple, rows))
+        self.denominator = denominator
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(map(self.fraction, row)) for row in self.numerators)
+
+    def fraction(self, x: int, degree: int = 1) -> Fraction:
+        """x / denominator^degree, for a degree-homogeneous form of the numerators."""
+        return Fraction(x, self.denominator**degree)
 
     @classmethod
     def adjacency(cls, g: Graph) -> "SymMatrix":
@@ -91,32 +107,21 @@ class SymMatrix:
         and exact zero everywhere else, diagonal included."""
         for i in range(self.n):
             for j in range(i + 1):
-                v = self.entries[i][j]
-                if (j, i) in pattern or (i, j) in pattern:
-                    if not v > 0:
-                        raise PatternViolation(
-                            f"slot ({j},{i}) must be positive, got {v}"
-                        )
-                elif v != 0:
-                    raise PatternViolation(f"slot ({j},{i}) must be zero, got {v}")
+                v = self.numerators[i][j]
+                on = (j, i) in pattern or (i, j) in pattern
+                if not (v > 0 if on else v == 0):
+                    raise PatternViolation(
+                        f"slot ({j},{i}) must be {'positive' if on else 'zero'}, "
+                        f"got {self.fraction(v)}"
+                    )
 
     def to_json_obj(self) -> dict:
         # "mode" is a required field of the signature report schema
-        rows = [
-            [f"{x.numerator}/{x.denominator}" for x in row] for row in self.entries
-        ]
+        rows = [[f"{x.numerator}/{x.denominator}" for x in row] for row in self.entries]
         return {"mode": "exact", "entries": rows}
 
 
 # -- exact route --------------------------------------------------------------
-
-
-def _integer_scaled(m: SymMatrix) -> tuple[list[list[int]], int]:
-    lcm = math.lcm(*(x.denominator for row in m.entries for x in row))
-    scaled = [
-        [x.numerator * (lcm // x.denominator) for x in row] for row in m.entries
-    ]
-    return scaled, lcm
 
 
 def charpoly_int(b: list[list[int]]) -> list[int]:
@@ -157,19 +162,18 @@ def _sign_variations(coeffs) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _exact_invariants(m: SymMatrix) -> tuple[Fraction, Signature]:
-    """Determinant and inertia from one characteristic polynomial.
+def _exact_invariants(m: SymMatrix) -> tuple[int, Signature]:
+    """det * denominator^n and the inertia, from one characteristic
+    polynomial of the numerators.
 
-    The determinant is (-1)^n times the constant coefficient, divided by the
-    common denominator to the n-th power.  All roots are real, so Descartes'
-    count is exact; rescaling by the positive common denominator leaves
-    every eigenvalue sign unchanged.
+    det(numerators) is (-1)^n times the constant coefficient.  All roots are
+    real, so Descartes' count is exact; the positive common denominator
+    leaves every eigenvalue sign unchanged.
     """
     if m.n == 0:
-        return Fraction(1), Signature(0, 0, 0)
-    scaled, lcm = _integer_scaled(m)
-    coeffs = charpoly_int(scaled)
-    det = Fraction((-1) ** m.n * coeffs[0], lcm**m.n)
+        return 1, Signature(0, 0, 0)
+    coeffs = charpoly_int(m.numerators)
+    det = (-1) ** m.n * coeffs[0]
     n_zero = 0
     while coeffs[n_zero] == 0:
         n_zero += 1
@@ -190,7 +194,7 @@ def signature_exact(m: SymMatrix) -> Signature:
 
 def det_exact(m: SymMatrix) -> Fraction:
     """Determinant via the characteristic polynomial's constant term."""
-    return _exact_invariants(m)[0]
+    return m.fraction(_exact_invariants(m)[0], m.n)
 
 
 # -- floating route ------------------------------------------------------------
@@ -217,23 +221,16 @@ def signature_of_array(arr) -> Signature:
 
 
 def cycle_pattern(n: int) -> frozenset:
-    return frozenset(
-        (min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)
-    )
-
-
-def _sample_positive(rng: random.Random) -> Fraction:
-    # uniform on (0.1, 10) at granularity 1/2^16
-    lo = SAMPLE_DENOMINATOR // 10 + 1
-    hi = SAMPLE_DENOMINATOR * 10 - 1
-    return Fraction(rng.randint(lo, hi), SAMPLE_DENOMINATOR)
+    return frozenset((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n))
 
 
 def _pattern_sample(n: int, pairs, rng: random.Random) -> SymMatrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    # uniform on (0.1, 10) at granularity 1/SAMPLE_DENOMINATOR
+    lo, hi = SAMPLE_DENOMINATOR // 10 + 1, SAMPLE_DENOMINATOR * 10 - 1
+    rows = [[0] * n for _ in range(n)]
     for u, v in sorted(pairs):
-        rows[u][v] = rows[v][u] = _sample_positive(rng)
-    return SymMatrix(rows)
+        rows[u][v] = rows[v][u] = rng.randint(lo, hi)
+    return SymMatrix(rows, SAMPLE_DENOMINATOR)
 
 
 def cycle_pattern_sample(n: int, rng: random.Random) -> SymMatrix:
@@ -256,52 +253,51 @@ def expected_cycle_signature(n: int) -> tuple[int, int, int]:
     raise MatrixError("cycle signature formula applies to odd n only")
 
 
+def _cycle_det(a) -> int:
+    return 2 * math.prod(a[i][(i + 1) % len(a)] for i in range(len(a)))
+
+
+def _h7_det(a) -> int:
+    return -2 * a[0][3] * a[1][4] * a[2][5] * (
+        a[0][1] * a[2][5] * a[3][6] * a[4][6]
+        + a[0][2] * a[1][4] * a[3][6] * a[5][6]
+        + a[0][3] * a[1][2] * a[4][6] * a[5][6]
+    )
+
+
 def cycle_det_formula(m: SymMatrix) -> Fraction:
     """2 * product of the band entries a_{i,i+1} (indices mod n)."""
-    prod = Fraction(1)
-    for i in range(m.n):
-        prod *= m.entries[i][(i + 1) % m.n]
-    return 2 * prod
+    return m.fraction(_cycle_det(m.numerators), m.n)
 
 
 def h7_det_formula(m: SymMatrix) -> Fraction:
     """Closed form of det for the H7 sign pattern (always negative)."""
-    a = m.entries
-    return (
-        -2
-        * a[0][3]
-        * a[1][4]
-        * a[2][5]
-        * (
-            a[0][1] * a[2][5] * a[3][6] * a[4][6]
-            + a[0][2] * a[1][4] * a[3][6] * a[5][6]
-            + a[0][3] * a[1][2] * a[4][6] * a[5][6]
-        )
-    )
+    return m.fraction(_h7_det(m.numerators), m.n)
 
 
 class PatternKind(NamedTuple):
     """One sign-pattern family, resolved from its kind name by `_parse_kind`:
     the size, the positive pairs, the closed-form determinant with its
-    label and sign, and the signature every matrix of the family has."""
+    label and sign, and the signature every matrix of the family has.  The
+    closed form is homogeneous of degree n in the entries, so on the
+    numerators it gives det * denominator^n."""
 
     n: int
     pairs: frozenset
-    det_formula: Callable[[SymMatrix], Fraction]
+    det_formula: Callable[[tuple], int]
     det_label: str
     det_sign: int
     signature: tuple[int, int, int]
 
 
+@lru_cache(maxsize=64)
 def _parse_kind(kind: str) -> PatternKind:
     if kind == "h7":
-        return PatternKind(
-            7, H7_PATTERN, h7_det_formula, "closed formula", -1, H7_SIGNATURE
-        )
+        return PatternKind(7, H7_PATTERN, _h7_det, "closed formula", -1, H7_SIGNATURE)
     if kind.startswith("cycle(") and kind.endswith(")"):
         n = int(kind[6:-1])
         return PatternKind(
-            n, cycle_pattern(n), cycle_det_formula, "band formula", 1,
+            n, cycle_pattern(n), _cycle_det, "band formula", 1,
             expected_cycle_signature(n),
         )
     raise MatrixError(f"unknown pattern kind {kind!r}; use 'cycle(N)' or 'h7'")
@@ -309,20 +305,26 @@ def _parse_kind(kind: str) -> PatternKind:
 
 def check_sample(m: SymMatrix, kind: str) -> list[str]:
     """All violations of the kind's pattern, determinant identity, and
-    expected signature for one sample matrix; empty when clean."""
+    expected signature for one sample matrix; empty when clean.  A sample
+    of the wrong size fails with that one problem and nothing else."""
     spec = _parse_kind(kind)
+    if m.n != spec.n:
+        return [f"size {m.n} != {spec.n}"]
     problems = []
     try:
         m.check_pattern(spec.pairs)
     except PatternViolation as exc:
         problems.append(f"pattern: {exc}")
     det, sig = _exact_invariants(m)
-    expected_det = spec.det_formula(m)
+    expected_det = spec.det_formula(m.numerators)
     if det != expected_det:
-        problems.append(f"determinant {det} != {spec.det_label} {expected_det}")
+        problems.append(
+            f"determinant {m.fraction(det, m.n)} != {spec.det_label} "
+            f"{m.fraction(expected_det, m.n)}"
+        )
     if not det * spec.det_sign > 0:
         sign = "positive" if spec.det_sign > 0 else "negative"
-        problems.append(f"determinant {det} not {sign}")
+        problems.append(f"determinant {m.fraction(det, m.n)} not {sign}")
     if sig != spec.signature:
         problems.append(f"signature {tuple(sig)} != expected {spec.signature}")
     return problems
@@ -364,15 +366,13 @@ def verify_pattern_lemma(
     report = PatternLemmaReport(kind, trials, seed, spec.signature)
     for trial in range(trials):
         rng = random.Random(f"{seed}:{kind}:{trial}")
-        if kind == "h7":
-            m = h7_pattern_sample(rng)
-        else:
-            m = cycle_pattern_sample(spec.n, rng)
+        m = (h7_pattern_sample(rng) if kind == "h7"
+             else cycle_pattern_sample(spec.n, rng))
         if corrupt_slot is not None:
-            rows = [list(r) for r in m.entries]
+            rows = [list(r) for r in m.numerators]
             u, v = corrupt_slot
-            rows[u][v] = rows[v][u] = Fraction(0)
-            m = SymMatrix(rows)
+            rows[u][v] = rows[v][u] = 0
+            m = SymMatrix(rows, m.denominator)
         problems = check_sample(m, kind)
         if problems:
             report.failures.append(

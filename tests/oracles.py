@@ -5,7 +5,8 @@ more obvious route: all permutations instead of a pruned backtrack or a
 numpy table of vertex orders, all labeled colorings instead of the
 one-vertex-at-a-time search, Gaussian elimination instead of the
 characteristic polynomial, dense Faddeev-LeVerrier instead of sparse power
-sums, a loop over the bit slots instead of one string reversal.
+sums, per-entry Fractions instead of integer numerators over one
+denominator, a loop over the bit slots instead of one string reversal.
 `validate_level` checks the invariants of one search level, and
 `assert_keyed_form` those of one keyed canonical form.  They are capped to
 small inputs and no command runs them.
@@ -23,7 +24,8 @@ from champagne.geometry import DirectedLine, GeometryError, LineConfig
 from champagne.graphs import (CanonicalForm, Graph, GraphError, canonical_form,
                               induced_code, pair_count, pair_slot, permute)
 from champagne.search import FeasibleLevel
-from champagne.signature import MatrixError, SymMatrix, _integer_scaled
+from champagne.signature import (H7_PATTERN, H7_SIGNATURE, MatrixError, Signature,
+                                  SymMatrix)
 
 # -- graphs ------------------------------------------------------------------
 
@@ -381,7 +383,7 @@ def det_bareiss(m: SymMatrix) -> Fraction:
     n = m.n
     if n == 0:
         return Fraction(1)
-    a, lcm = _integer_scaled(m)
+    a = [list(row) for row in m.numerators]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -395,7 +397,7 @@ def det_bareiss(m: SymMatrix) -> Fraction:
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], lcm**n)
+    return Fraction(sign * a[n - 1][n - 1], m.denominator**n)
 
 
 def charpoly_faddeev(b: list[list[int]]) -> list[int]:
@@ -421,6 +423,76 @@ def charpoly_faddeev(b: list[list[int]]) -> list[int]:
             for i in range(n)
         ]
     return coeffs
+
+
+def _signature_by_faddeev(a) -> Signature:
+    """Inertia of a Fraction matrix: Descartes' counts on the dense
+    characteristic polynomial of the lcm-scaled integer matrix."""
+    lcm = math.lcm(*(x.denominator for row in a for x in row))
+    coeffs = charpoly_faddeev([[int(x * lcm) for x in row] for row in a])
+    n_zero = next(k for k, c in enumerate(coeffs) if c)
+
+    def changes(cs):
+        cs = [c for c in cs if c]
+        return sum((x > 0) != (y > 0) for x, y in zip(cs, cs[1:]))
+
+    reduced = coeffs[n_zero:]
+    n_minus = changes([c * (-1) ** k for k, c in enumerate(reduced)])
+    return Signature(changes(reduced), n_zero, n_minus)
+
+
+def _pattern_violation(a, pairs):
+    """The first slot, row by row, off the pattern: positive on `pairs`,
+    zero elsewhere."""
+    for i in range(len(a)):
+        for j in range(i + 1):
+            v = a[i][j]
+            if (j, i) in pairs or (i, j) in pairs:
+                if not v > 0:
+                    return f"slot ({j},{i}) must be positive, got {v}"
+            elif v != 0:
+                return f"slot ({j},{i}) must be zero, got {v}"
+    return None
+
+
+def check_sample_by_fractions(m: SymMatrix, kind: str):
+    """signature.check_sample on per-entry Fractions: the pattern, det by
+    `det_bareiss` against the closed form evaluated in Fractions, and the
+    inertia by Faddeev-LeVerrier.  Returns (problems, det, signature), the
+    problems worded as check_sample words them."""
+    a = m.entries
+    n = len(a)
+    det, sig = det_bareiss(m), _signature_by_faddeev(a)
+    if kind == "h7":
+        size, pairs, want = 7, H7_PATTERN, H7_SIGNATURE
+        label, sign = "closed formula", -1
+    else:
+        size = int(kind[len("cycle("):-1])
+        pairs = {(i, (i + 1) % size) for i in range(size)}
+        label, sign, half = "band formula", 1, (size - 1) // 2
+        want = (half + 1, 0, half) if size % 4 == 1 else (half, 0, half + 1)
+    if n != size:
+        return [f"size {n} != {size}"], det, sig
+    problems = []
+    violation = _pattern_violation(a, pairs)
+    if violation:
+        problems.append(f"pattern: {violation}")
+    if kind == "h7":
+        formula = -2 * a[0][3] * a[1][4] * a[2][5] * (
+            a[0][1] * a[2][5] * a[3][6] * a[4][6]
+            + a[0][2] * a[1][4] * a[3][6] * a[5][6]
+            + a[0][3] * a[1][2] * a[4][6] * a[5][6]
+        )
+    else:
+        formula = 2 * math.prod(a[i][(i + 1) % n] for i in range(n))
+    if det != formula:
+        problems.append(f"determinant {det} != {label} {formula}")
+    if not det * sign > 0:
+        word = "positive" if sign > 0 else "negative"
+        problems.append(f"determinant {det} not {word}")
+    if sig != want:
+        problems.append(f"signature {tuple(sig)} != expected {want}")
+    return problems, det, sig
 
 
 def cycle_eigenvalues(n: int) -> list[float]:

@@ -1,6 +1,7 @@
 """Exact and floating inertia, and the sign-pattern family checks."""
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from champagne import catalog, signature
 from champagne.signature import (
     H7_SIGNATURE,
+    SAMPLE_DENOMINATOR,
     MatrixError,
     PatternViolation,
     SymMatrix,
@@ -23,9 +25,22 @@ from champagne.signature import (
     signature_exact,
     signature_of_array,
     verify_pattern_lemma,
-    _integer_scaled,
 )
-from oracles import charpoly_faddeev, cycle_eigenvalues, det_bareiss
+from oracles import (charpoly_faddeev, check_sample_by_fractions, cycle_eigenvalues,
+                     det_bareiss)
+
+KINDS = ["cycle(5)", "cycle(7)", "cycle(9)", "h7"]
+
+
+def kind_size(kind):
+    return 7 if kind == "h7" else int(kind[len("cycle("):-1])
+
+
+def draw(kind, rng):
+    """One sample of the kind's sign pattern."""
+    if kind == "h7":
+        return h7_pattern_sample(rng)
+    return cycle_pattern_sample(kind_size(kind), rng)
 
 
 def symmetric_int_matrix(rng, n, lo=-5, hi=5):
@@ -69,26 +84,132 @@ def test_charpoly_matches_faddeev_on_random_matrices(rng):
 
 def test_charpoly_matches_faddeev_on_catalog():
     for name, g in catalog.CATALOG.items():
-        rows, _ = _integer_scaled(SymMatrix.adjacency(g))
-        assert charpoly_int(rows) == charpoly_faddeev(rows), name
+        m = SymMatrix.adjacency(g)
+        assert m.denominator == 1
+        assert charpoly_int(m.numerators) == charpoly_faddeev(m.numerators), name
 
 
-@pytest.mark.parametrize("kind", ["cycle(5)", "cycle(7)", "cycle(9)", "h7"])
-def test_exact_route_matches_oracles_on_lemma_samples(kind, monkeypatch):
-    samples = []
+def recorded_samples(kind, monkeypatch, **kwargs):
+    """The (sample, problems) pairs `verify_pattern_lemma` checks."""
+    seen = []
     checked = signature.check_sample
 
     def recorded(m, kind):
-        samples.append(m)
-        return checked(m, kind)
+        problems = checked(m, kind)
+        seen.append((m, problems))
+        return problems
 
     monkeypatch.setattr(signature, "check_sample", recorded)
-    assert verify_pattern_lemma(kind, trials=250, seed=0).passed
-    assert len(samples) == 250
-    for m in samples:
-        rows, _ = _integer_scaled(m)
-        assert charpoly_int(rows) == charpoly_faddeev(rows)
+    verify_pattern_lemma(kind, **kwargs)
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_exact_route_matches_oracles_on_lemma_samples(kind, monkeypatch):
+    seen = recorded_samples(kind, monkeypatch, trials=250, seed=0)
+    assert len(seen) == 250
+    for m, problems in seen:
+        assert problems == []
+        assert charpoly_int(m.numerators) == charpoly_faddeev(m.numerators)
         assert det_exact(m) == det_bareiss(m)
+
+
+@pytest.mark.parametrize("corrupt_slot", [None, (0, 1)], ids=["clean", "corrupt"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_check_sample_matches_fraction_oracle_on_lemma_samples(
+    kind, corrupt_slot, monkeypatch
+):
+    seen = recorded_samples(
+        kind, monkeypatch, trials=40, seed=0, corrupt_slot=corrupt_slot
+    )
+    assert len(seen) == 40
+    for m, problems in seen:
+        expected, det, sig = check_sample_by_fractions(m, kind)
+        assert problems == expected
+        assert (det_exact(m), signature_exact(m)) == (det, sig)
+        assert bool(problems) == (corrupt_slot is not None)
+
+
+def rational_symmetric(rng, kind):
+    """Rows of Fractions with mixed denominators for a matrix of `kind`'s
+    size: half the time random entries (about half of them zero), half the
+    time a true sample with one or two slots overwritten, so that the
+    closed-form and sign problems show too."""
+    n = kind_size(kind)
+    if rng.random() < 0.5:
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        slots, top, denominators = n * (n + 1) // 4, 40, (1, 2, 3, 7, 12, 1 << 16)
+    else:
+        rows = [list(r) for r in draw(kind, rng).entries]
+        slots, top, denominators = rng.randint(1, 2), 3, (1, 7)
+    for _ in range(slots):
+        u, v = rng.randrange(n), rng.randrange(n)
+        x = Fraction(rng.randint(-top, top), rng.choice(denominators))
+        rows[u][v] = rows[v][u] = x
+    return rows
+
+
+def test_check_sample_matches_fraction_oracle_on_rational_matrices(rng):
+    for _ in range(700):
+        kind = rng.choice(KINDS)
+        rows = rational_symmetric(rng, kind)
+        m = SymMatrix(rows)
+        assert m.entries == tuple(map(tuple, rows))
+        expected, det, sig = check_sample_by_fractions(m, kind)
+        assert check_sample(m, kind) == expected
+        assert (det_exact(m), signature_exact(m)) == (det, sig)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_check_sample_reports_a_size_mismatch_alone(kind, rng):
+    for n in (5, 7, 9):
+        if n == kind_size(kind):
+            continue
+        m = cycle_pattern_sample(n, rng)
+        assert check_sample(m, kind) == [f"size {n} != {kind_size(kind)}"]
+        assert check_sample_by_fractions(m, kind)[0] == check_sample(m, kind)
+
+
+# The first seed-0 sample of each kind, numerators in sorted pair order.  A
+# passing report holds no matrix, so a drift in the draws shows here first.
+FIRST_SAMPLES = {
+    "cycle(5)": [419876, 412275, 101319, 188532, 361579],
+    "cycle(7)": [651322, 493468, 137060, 108941, 587748, 330124, 619629],
+    "cycle(9)": [
+        382693, 590777, 75612, 92543, 544694, 68008, 445049, 303483, 59440,
+    ],
+    "h7": [32018, 148645, 255621, 495715, 560031, 399192, 176666, 463279, 554594],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_first_seed_zero_sample_is_pinned(kind):
+    m = draw(kind, random.Random(f"0:{kind}:0"))
+    assert m.denominator == SAMPLE_DENOMINATOR
+    graph = catalog.H7 if kind == "h7" else catalog.cycle_graph(kind_size(kind))
+    pairs = sorted(tuple(sorted(p)) for p in graph.edges())
+    assert [m.numerators[u][v] for u, v in pairs] == FIRST_SAMPLES[kind]
+    assert check_sample(m, kind) == []
+
+
+def test_passing_check_sample_builds_no_fraction(monkeypatch):
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(signature, "Fraction", CountingFraction)
+    for kind in KINDS:
+        for trial in range(5):
+            m = draw(kind, random.Random(f"0:{kind}:{trial}"))
+            assert check_sample(m, kind) == []
+    assert built == []
+    # the counter does count: a failing sample builds its message Fractions
+    assert check_sample(SymMatrix([[0] * 5 for _ in range(5)]), "cycle(5)")
+    assert built
 
 
 def as_array(m: SymMatrix) -> np.ndarray:
@@ -311,3 +432,17 @@ def test_matrix_json_round_trip(rng):
     rows = json.loads(json.dumps(obj))["entries"]
     again = SymMatrix([[Fraction(cell) for cell in row] for row in rows])
     assert again.entries == m.entries
+
+
+def test_fraction_rows_are_cleared_to_one_denominator():
+    m = SymMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 0]])
+    assert (m.numerators, m.denominator) == (((3, 2), (2, 0)), 6)
+    m = SymMatrix([[Fraction(1, 2), 1], [1, 0]], 3)
+    assert (m.numerators, m.denominator) == (((1, 2), (2, 0)), 6)
+    assert m.entries == ((Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 3), 0))
+    assert SymMatrix([[2, 4], [4, 6]], 8).to_json_obj()["entries"] == [
+        ["1/4", "1/2"], ["1/2", "3/4"],
+    ]
+    for denominator in (0, -1):
+        with pytest.raises(MatrixError):
+            SymMatrix([[1]], denominator)
