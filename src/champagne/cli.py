@@ -27,7 +27,6 @@ from .jsonout import dumps
 from .search import DEFAULT_SURVIVOR_CAP, MAX_JOBS, SearchCapExceeded, run_search
 
 FAMILY_ALIASES = {"default": default_family, "r34": lambda: ramsey_family(3, 4)}
-LEMMA_KINDS = ("cycle(5)", "cycle(7)", "cycle(9)", "h7")
 
 
 def bundled_path(name: str) -> str:
@@ -112,14 +111,14 @@ def cmd_verify_signatures(args) -> int:
     if args.out:  # refuse an unwritable path before sampling
         _probe_writable(args.out)
     lemmas = []
-    for kind in LEMMA_KINDS:
-        report = signature.verify_pattern_lemma(
+    for kind in signature.LEMMAS:
+        lemma = signature.verify_pattern_lemma(
             kind, args.trials, args.seed, corrupt_slot=corrupt
         )
-        lemmas.append(report.to_json_obj())
-        status = "ok" if report.passed else "FAIL"
+        lemmas.append(lemma)
+        status = "ok" if lemma["passed"] else "FAIL"
         print(f"{kind}: {status} ({args.trials} trials)", file=sys.stderr)
-        for failure in report.failures[:1]:
+        for failure in lemma["failures"][:1]:
             print(
                 "counterexample: " + json.dumps(failure, sort_keys=True),
                 file=sys.stderr,
@@ -192,10 +191,10 @@ def cmd_check_lines(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         _emit(result, args.out)
         return 1
-    result["realization"] = realization.to_json_obj()
-    result["valid"] = realization.passed
+    result["realization"] = realization
+    result["valid"] = realization["passed"]
     _emit(result, args.out)
-    return 0 if realization.passed else 1
+    return 0 if realization["passed"] else 1
 
 
 def cmd_gen_lower_bound(args) -> int:

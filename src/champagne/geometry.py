@@ -336,31 +336,13 @@ def t_matrix(cfg: LineConfig) -> np.ndarray:
     return report.matrix
 
 
-@dataclass
-class RealizationReport:
-    count: int
-    max_distance_deviation: float
-    properties: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(p["passed"] for p in self.properties.values())
-
-    def to_json_obj(self) -> dict:
-        return {
-            "count": self.count,
-            "max_distance_deviation": self.max_distance_deviation,
-            "passed": self.passed,
-            "properties": self.properties,
-        }
-
-
-def check_realization(report: ConfigReport) -> RealizationReport:
+def check_realization(report: ConfigReport) -> dict:
     """Check the four numeric constraints a unit-distance realization must
     satisfy: off-diagonal entries nonzero, sign pattern equal to the
     chirality graph, at most 3 negative eigenvalues, and |a| of signature
-    (1, n-1).  Raises from the report's verdict: InvalidConfigError for a
-    stray distance, then DegeneratePairError for a parallel pair."""
+    (1, n-1), into the `realization` dict that `check-lines` writes.
+    Raises from the report's verdict: InvalidConfigError for a stray
+    distance, then DegeneratePairError for a parallel pair."""
     if report.matrix is None:
         raise GeometryError("realization checks are defined only in R^3")
     n = report.count
@@ -382,7 +364,7 @@ def check_realization(report: ConfigReport) -> RealizationReport:
     sig_t = signature_of_array(matrix)
     sig_abs = signature_of_array(np.abs(matrix))
     deviation = max(abs(pair["distance"] - 1.0) for pair in report.pairs)
-    return RealizationReport(n, deviation, {
+    properties = {
         "offdiagonal_nonzero": {
             "passed": not report.has_coplanar,
             "min_abs_entry": margin,
@@ -400,7 +382,13 @@ def check_realization(report: ConfigReport) -> RealizationReport:
             "signature": list(sig_abs),
             "expected": [1, 0, n - 1],
         },
-    })
+    }
+    return {
+        "count": n,
+        "max_distance_deviation": deviation,
+        "passed": all(p["passed"] for p in properties.values()),
+        "properties": properties,
+    }
 
 
 # -- equidistant family in higher dimensions ---------------------------------

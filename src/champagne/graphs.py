@@ -150,18 +150,14 @@ def permute(g: Graph, perm) -> Graph:
     perm = tuple(perm)
     if sorted(perm) != list(range(g.n)):
         raise GraphError(f"not a permutation of 0..{g.n - 1}: {perm}")
-    bits = 0
-    for v in range(g.n):
-        base = v * (v - 1) // 2
-        for u in range(v):
-            if g.bits >> (base + u) & 1:
-                bits |= 1 << pair_slot(perm[u], perm[v])
-    return Graph(g.n, bits)
+    inverse = sorted(range(g.n), key=perm.__getitem__)
+    return Graph(g.n, induced_code(g.rows(), inverse))
 
 
 def induced_code(rows, subset) -> int:
-    """Edge bitset of the subgraph induced on `subset` (given ascending),
-    from the adjacency bitmasks `rows` of the whole graph."""
+    """Edge bitset of the subgraph induced on `subset`, from the adjacency
+    bitmasks `rows` of the whole graph; vertex i of the result is
+    subset[i], so any order of `subset` gives that relabeled subgraph."""
     code = 0
     for j in range(1, len(subset)):
         row = rows[subset[j]]

@@ -20,10 +20,12 @@ families: odd cyclic band matrices (positive on the +-1 mod n band, zero
 elsewhere) whose determinant is 2 * prod of the band entries and whose
 signature depends only on n mod 4, and 7x7 matrices positive exactly on
 the edges of the catalog graph H7, which have negative determinant and
-signature (4,3).  Samples, checks and both closed forms stay in integers;
-`Fraction`s are built only for return values and problem messages.
-Randomized sampling is evidence that the signature is constant on each
-family, not a proof; reports carry a `method` field saying so.
+signature (4,3).  The four lemmas checked, cycle(5), cycle(7), cycle(9)
+and h7, are the rows of `LEMMAS`.  Samples, checks and both closed forms
+stay in integers; `Fraction`s are built only for return values and problem
+messages.  Randomized sampling is evidence that the signature is constant
+on each family, not a proof; each lemma report carries a `method` field
+saying so.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -265,49 +265,50 @@ def _h7_det(a) -> int:
     )
 
 
-def cycle_det_formula(m: SymMatrix) -> Fraction:
-    """2 * product of the band entries a_{i,i+1} (indices mod n)."""
-    return m.fraction(_cycle_det(m.numerators), m.n)
-
-
-def h7_det_formula(m: SymMatrix) -> Fraction:
-    """Closed form of det for the H7 sign pattern (always negative)."""
-    return m.fraction(_h7_det(m.numerators), m.n)
-
-
 class PatternKind(NamedTuple):
-    """One sign-pattern family, resolved from its kind name by `_parse_kind`:
-    the size, the positive pairs, the closed-form determinant with its
-    label and sign, and the signature every matrix of the family has.  The
-    closed form is homogeneous of degree n in the entries, so on the
-    numerators it gives det * denominator^n."""
+    """One sign-pattern family, a row of `LEMMAS`: the size, the positive
+    pairs, the sampler, the closed-form determinant with its label and
+    sign, and the signature every matrix of the family has.  The closed
+    form is homogeneous of degree n in the entries, so on the numerators it
+    gives det * denominator^n."""
 
     n: int
     pairs: frozenset
+    sample: Callable[[random.Random], SymMatrix]
     det_formula: Callable[[tuple], int]
     det_label: str
     det_sign: int
     signature: tuple[int, int, int]
 
 
-@lru_cache(maxsize=64)
-def _parse_kind(kind: str) -> PatternKind:
-    if kind == "h7":
-        return PatternKind(7, H7_PATTERN, _h7_det, "closed formula", -1, H7_SIGNATURE)
-    if kind.startswith("cycle(") and kind.endswith(")"):
-        n = int(kind[6:-1])
-        return PatternKind(
-            n, cycle_pattern(n), _cycle_det, "band formula", 1,
-            expected_cycle_signature(n),
+# each sampler calls the public one through its module name, which
+# perfbench's tracer wraps
+LEMMAS = {
+    **{
+        f"cycle({n})": PatternKind(
+            n, cycle_pattern(n), lambda rng, n=n: cycle_pattern_sample(n, rng),
+            _cycle_det, "band formula", 1, expected_cycle_signature(n),
         )
-    raise MatrixError(f"unknown pattern kind {kind!r}; use 'cycle(N)' or 'h7'")
+        for n in (5, 7, 9)
+    },
+    "h7": PatternKind(
+        7, H7_PATTERN, lambda rng: h7_pattern_sample(rng), _h7_det,
+        "closed formula", -1, H7_SIGNATURE,
+    ),
+}
+
+
+def _lemma(kind: str) -> PatternKind:
+    if kind not in LEMMAS:
+        raise MatrixError(f"unknown pattern kind {kind!r}; use one of {', '.join(LEMMAS)}")
+    return LEMMAS[kind]
 
 
 def check_sample(m: SymMatrix, kind: str) -> list[str]:
     """All violations of the kind's pattern, determinant identity, and
     expected signature for one sample matrix; empty when clean.  A sample
     of the wrong size fails with that one problem and nothing else."""
-    spec = _parse_kind(kind)
+    spec = _lemma(kind)
     if m.n != spec.n:
         return [f"size {m.n} != {spec.n}"]
     problems = []
@@ -330,30 +331,12 @@ def check_sample(m: SymMatrix, kind: str) -> list[str]:
     return problems
 
 
-@dataclass
-class PatternLemmaReport:
-    kind: str
-    trials: int
-    seed: int
-    expected_signature: tuple[int, int, int]
-    method: str = "randomized-sampling (evidence, not a proof)"
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_json_obj(self) -> dict:
-        obj = asdict(self)
-        obj["expected_signature"] = list(self.expected_signature)
-        return {**obj, "passed": self.passed}
-
-
 def verify_pattern_lemma(
     kind: str, trials: int, seed: int = 0, corrupt_slot=None
-) -> PatternLemmaReport:
+) -> dict:
     """Sample `trials` matrices of the given sign pattern and check each for
-    the determinant identity and the expected signature.
+    the determinant identity and the expected signature; the report is the
+    JSON object `verify-signatures` writes for the kind.
 
     Per-trial RNG streams derive from (seed, kind, trial index), so results
     are reproducible for any parallel execution order.  `corrupt_slot` is a
@@ -362,12 +345,10 @@ def verify_pattern_lemma(
     """
     if trials < 1:
         raise MatrixError("trials must be >= 1")
-    spec = _parse_kind(kind)
-    report = PatternLemmaReport(kind, trials, seed, spec.signature)
+    spec = _lemma(kind)
+    failures = []
     for trial in range(trials):
-        rng = random.Random(f"{seed}:{kind}:{trial}")
-        m = (h7_pattern_sample(rng) if kind == "h7"
-             else cycle_pattern_sample(spec.n, rng))
+        m = spec.sample(random.Random(f"{seed}:{kind}:{trial}"))
         if corrupt_slot is not None:
             rows = [list(r) for r in m.numerators]
             u, v = corrupt_slot
@@ -375,7 +356,15 @@ def verify_pattern_lemma(
             m = SymMatrix(rows, m.denominator)
         problems = check_sample(m, kind)
         if problems:
-            report.failures.append(
+            failures.append(
                 {"trial": trial, "problems": problems, "matrix": m.to_json_obj()}
             )
-    return report
+    return {
+        "kind": kind,
+        "trials": trials,
+        "seed": seed,
+        "expected_signature": list(spec.signature),
+        "method": "randomized-sampling (evidence, not a proof)",
+        "failures": failures,
+        "passed": not failures,
+    }

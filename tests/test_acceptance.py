@@ -101,7 +101,7 @@ def test_criterion_04_signature_lemmas(capsys):
     ok = True
     for kind, sig in expected.items():
         lemma = verify_pattern_lemma(kind, trials=1000, seed=0)
-        if not lemma.passed or lemma.expected_signature != sig:
+        if not lemma["passed"] or lemma["expected_signature"] != list(sig):
             ok = False
     elapsed = time.perf_counter() - start
     ok = ok and elapsed <= 60
@@ -146,16 +146,16 @@ def test_criterion_07_cone_identities(capsys):
 def test_criterion_08_bundled_three_line_realization(capsys):
     cfg = geometry.load_config(cli.bundled_path("three_lines.json"))
     rep = geometry.check_realization(geometry.config_report(cfg))
-    props = rep.properties
+    props = rep["properties"]
     ok = (
-        rep.passed
-        and rep.max_distance_deviation <= 1e-9
+        rep["passed"]
+        and rep["max_distance_deviation"] <= 1e-9
         and props["at_most_3_negative_eigenvalues"]["passed"]
         and props["abs_matrix_signature"]["signature"] == [1, 0, 2]
     )
     with capsys.disabled():
         report(8, "bundled 3-line configuration satisfies all four constraints",
-               ok, f"max distance deviation {rep.max_distance_deviation:.2e}")
+               ok, f"max distance deviation {rep['max_distance_deviation']:.2e}")
 
 
 def test_criterion_09_lower_bound_generator(capsys, monkeypatch):

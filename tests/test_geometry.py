@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from champagne import cli
 from champagne.geometry import (
     DegeneratePairError,
     DirectedLine,
@@ -22,6 +23,7 @@ from champagne.geometry import (
     t_matrix,
 )
 from champagne.graphs import Graph, complement, switch
+from champagne.jsonout import dumps
 from oracles import rigid_transform
 
 X_AXIS = DirectedLine(np.zeros(3), np.array([1.0, 0.0, 0.0]))
@@ -294,8 +296,8 @@ def test_t_matrix_rejects_parallel():
 
 def test_check_realization_bundled_config():
     report = check_realization(config_report(THREE))
-    assert report.passed
-    props = report.properties
+    assert report["passed"]
+    props = report["properties"]
     assert props["abs_matrix_signature"]["signature"] == [1, 0, 2]
     assert props["at_most_3_negative_eigenvalues"]["passed"]
     assert props["offdiagonal_nonzero"]["min_abs_entry"] == pytest.approx(1.0)
@@ -304,8 +306,8 @@ def test_check_realization_bundled_config():
 
 def test_check_realization_two_skew_lines():
     report = check_realization(config_report(LineConfig(3, (X_AXIS, L2))))
-    assert report.passed
-    assert report.properties["abs_matrix_signature"]["signature"] == [1, 0, 1]
+    assert report["passed"]
+    assert report["properties"]["abs_matrix_signature"]["signature"] == [1, 0, 1]
 
 
 def test_check_realization_rejects_wrong_distance():
@@ -359,16 +361,24 @@ def test_check_realization_near_coplanar_pairs():
         DirectedLine(np.array([0.0, 0.0, 0.6]), np.array([1.0, turn, 0.0])),
     ), tolerance=0.5)
     report = check_realization(config_report(near))
-    nonzero = report.properties["offdiagonal_nonzero"]
+    nonzero = report["properties"]["offdiagonal_nonzero"]
     assert not nonzero["passed"]
     assert nonzero["min_abs_entry"] == pytest.approx(9e-13, rel=1e-6)
-    assert report.properties["sign_pattern_matches_chirality"]["mismatched_pairs"] == []
+    assert report["properties"]["sign_pattern_matches_chirality"]["mismatched_pairs"] == []
     # reversed, line 1's volume against line 0 is +9e-13: a positive entry
     # with no chirality edge
     flipped = check_realization(config_report(near.reverse_line(1)))
-    pattern = flipped.properties["sign_pattern_matches_chirality"]
+    pattern = flipped["properties"]["sign_pattern_matches_chirality"]
     assert not pattern["passed"] and pattern["mismatched_pairs"] == [(0, 1)]
-    assert not flipped.passed
+    assert not flipped["passed"]
+
+
+def test_check_realization_is_the_cli_realization_field(tmp_path):
+    config, out = tmp_path / "three.json", tmp_path / "lines.json"
+    config.write_text(json.dumps(THREE.to_json_obj()))
+    assert cli.main(["check-lines", str(config), "--out", str(out)]) == 0
+    report = check_realization(config_report(THREE))
+    assert json.loads(dumps(report)) == json.loads(out.read_text())["realization"]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

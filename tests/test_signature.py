@@ -7,20 +7,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from champagne import catalog, signature
+from champagne import catalog, cli, signature
+from champagne.jsonout import dumps
 from champagne.signature import (
     H7_SIGNATURE,
+    LEMMAS,
     SAMPLE_DENOMINATOR,
     MatrixError,
     PatternViolation,
     SymMatrix,
     charpoly_int,
     check_sample,
-    cycle_det_formula,
     cycle_pattern_sample,
     det_exact,
     expected_cycle_signature,
-    h7_det_formula,
     h7_pattern_sample,
     signature_exact,
     signature_of_array,
@@ -29,18 +29,16 @@ from champagne.signature import (
 from oracles import (charpoly_faddeev, check_sample_by_fractions, cycle_eigenvalues,
                      det_bareiss)
 
-KINDS = ["cycle(5)", "cycle(7)", "cycle(9)", "h7"]
+KINDS = list(LEMMAS)
 
 
 def kind_size(kind):
-    return 7 if kind == "h7" else int(kind[len("cycle("):-1])
+    return LEMMAS[kind].n
 
 
 def draw(kind, rng):
-    """One sample of the kind's sign pattern."""
-    if kind == "h7":
-        return h7_pattern_sample(rng)
-    return cycle_pattern_sample(kind_size(kind), rng)
+    """One sample of the kind's sign pattern, as `verify_pattern_lemma` draws it."""
+    return LEMMAS[kind].sample(rng)
 
 
 def symmetric_int_matrix(rng, n, lo=-5, hi=5):
@@ -299,13 +297,13 @@ def test_all_ones_cycle_sample_is_adjacency():
         [[1 if (i - j) % 5 in (1, 4) else 0 for j in range(5)] for i in range(5)]
     )
     assert m.entries == SymMatrix.adjacency(catalog.get("C5")).entries
-    assert cycle_det_formula(m) == 2
+    assert check_sample(m, "cycle(5)") == []
     assert det_exact(m) == 2
 
 
 def test_all_ones_h7_sample_is_adjacency():
     adj = SymMatrix.adjacency(catalog.get("H7"))
-    assert h7_det_formula(adj) == det_exact(adj)
+    assert check_sample(adj, "h7") == []
     assert det_exact(adj) < 0
 
 
@@ -321,7 +319,8 @@ def test_cycle_pattern_sample_structure(rng):
             else:
                 assert v == 0
     assert signature_exact(m) == (5, 0, 4)
-    assert det_exact(m) == cycle_det_formula(m) > 0
+    assert check_sample(m, "cycle(9)") == []
+    assert det_exact(m) > 0
 
 
 def test_cycle_pattern_sample_rejects_bad_n(rng):
@@ -336,7 +335,8 @@ def test_h7_pattern_sample_structure(rng):
     for i in range(7):
         for j in range(i):
             assert (m.entries[i][j] > 0) == ((j, i) in edges)
-    assert det_exact(m) == h7_det_formula(m) < 0
+    assert check_sample(m, "h7") == []
+    assert det_exact(m) < 0
     assert signature_exact(m) == (4, 0, 3)
 
 
@@ -359,29 +359,47 @@ def test_expected_cycle_signature_formula():
 )
 def test_verify_pattern_lemma_small_runs(kind, expected):
     report = verify_pattern_lemma(kind, trials=40, seed=7)
-    assert report.passed
-    assert report.expected_signature == expected
-    assert "evidence" in report.method
+    assert report["passed"]
+    assert report["expected_signature"] == list(expected)
+    assert "evidence" in report["method"]
 
 
 def test_verify_pattern_lemma_is_reproducible():
-    a = verify_pattern_lemma("cycle(5)", trials=10, seed=3).to_json_obj()
-    b = verify_pattern_lemma("cycle(5)", trials=10, seed=3).to_json_obj()
+    a = verify_pattern_lemma("cycle(5)", trials=10, seed=3)
+    b = verify_pattern_lemma("cycle(5)", trials=10, seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupt"])
+def test_verify_pattern_lemma_is_the_cli_lemma_field(corrupt, tmp_path):
+    out = tmp_path / "sig.json"
+    argv = ["verify-signatures", "--trials", "3", "--seed", "1", "--out", str(out)]
+    assert cli.main(argv + ["--selftest-corrupt"] * corrupt) == int(corrupt)
+    lemmas = json.loads(out.read_text())["lemmas"]
+    assert len(lemmas) == len(LEMMAS)
+    for kind, lemma in zip(LEMMAS, lemmas):
+        report = verify_pattern_lemma(kind, 3, 1, corrupt_slot=(0, 1) if corrupt else None)
+        assert json.loads(dumps(report)) == lemma
 
 
 def test_verify_pattern_lemma_flags_corruption():
     report = verify_pattern_lemma("cycle(5)", trials=2, seed=0, corrupt_slot=(0, 1))
-    assert not report.passed
-    assert len(report.failures) == 2
-    assert any("pattern" in p for p in report.failures[0]["problems"])
+    assert not report["passed"]
+    assert len(report["failures"]) == 2
+    assert any("pattern" in p for p in report["failures"][0]["problems"])
 
 
-def test_verify_pattern_lemma_rejects_bad_input():
+def test_verify_pattern_lemma_rejects_bad_input(rng):
     with pytest.raises(MatrixError):
         verify_pattern_lemma("cycle(5)", trials=0)
-    with pytest.raises(MatrixError):
-        verify_pattern_lemma("pentagon", trials=1)
+    # only the four table kinds, spelled exactly, are accepted
+    m = cycle_pattern_sample(5, rng)
+    named = r"use one of cycle\(5\), cycle\(7\), cycle\(9\), h7"
+    for kind in ("pentagon", "cycle(x)", "cycle( 5)", "cycle(11)", "cycle(0)", ""):
+        with pytest.raises(MatrixError, match=named):
+            check_sample(m, kind)
+        with pytest.raises(MatrixError, match=named):
+            verify_pattern_lemma(kind, trials=1)
 
 
 def test_check_sample_accepts_valid_h7(rng):
