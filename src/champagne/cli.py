@@ -75,14 +75,14 @@ def cmd_search(args) -> int:
         )
     except SearchCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _emit(exc.report.to_json_obj(), args.out)
+        _emit(exc.report, args.out)
         return 3
     if args.witnesses:
-        _write("\n".join(report.witnesses["graph6"]), args.witnesses)
-        report.witnesses["path"] = args.witnesses
+        _write("\n".join(report["witnesses"]["graph6"]), args.witnesses)
+        report["witnesses"]["path"] = args.witnesses
         if not args.embed_witnesses:
-            del report.witnesses["graph6"]
-    _emit(report.to_json_obj(), args.out)
+            del report["witnesses"]["graph6"]
+    _emit(report, args.out)
     return 0
 
 

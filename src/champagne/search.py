@@ -44,15 +44,14 @@ import itertools
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import multiprocessing
 import numpy as np
 
 from .forbidden import ForbiddenFamily
-from .graphs import Graph, _orbit, canonical_form, pair_count
-from .jsonout import dumps
+from .graphs import MAX_VERTICES, Graph, _orbit, canonical_form, pair_count
 
 DEFAULT_SURVIVOR_CAP = 50_000_000
 MAX_JOBS = 64  # a fork pool starts all its workers at once, about 27 MB each
@@ -64,7 +63,7 @@ class SearchCapExceeded(RuntimeError):
 
     def __init__(self, report):
         super().__init__(
-            f"survivor cap exceeded at level {report.levels[-1]['k']}"
+            f"survivor cap exceeded at level {report['levels'][-1]['k']}"
         )
         self.report = report
 
@@ -107,32 +106,17 @@ def _lex_codes(chunk, shared=None) -> list[int]:
     return [canonical_form(Graph(k, b)).code for b in bits]
 
 
-@dataclass
-class SearchReport:
-    """Machine-readable outcome of a run; serializes to JSON."""
-
-    family: list
-    n_max: int
-    jobs: int
-    cap: int
-    seed: int = 0  # the search draws nothing at random; the schema keeps the field
-    levels: list = field(default_factory=list)
-    verdict: dict | None = None
-    witnesses: dict | None = None
-
-    def to_json_obj(self, with_timing: bool = True) -> dict:
-        """Full report; with_timing=False drops the run-environment fields
-        (per-level seconds and the worker count), leaving exactly the bytes
-        that are guaranteed identical across runs and worker counts."""
-        obj = asdict(self)  # a deep copy, keys in field order
-        if not with_timing:
-            for level in obj["levels"]:
-                level.pop("seconds", None)
-            obj.pop("jobs")
-        return obj
-
-    def to_json(self, with_timing: bool = True) -> str:
-        return dumps(self.to_json_obj(with_timing))
+def timing_free(report: dict) -> dict:
+    """A new dict of `report` without its run-environment fields, the worker
+    count and each level's seconds: the part of a search report that is
+    identical across runs and worker counts.  `report` is left unchanged;
+    the other values are shared with it."""
+    obj = {key: value for key, value in report.items() if key != "jobs"}
+    obj["levels"] = [
+        {key: value for key, value in level.items() if key != "seconds"}
+        for level in report["levels"]
+    ]
+    return obj
 
 
 @lru_cache(maxsize=None)
@@ -320,8 +304,8 @@ def _extend(level: FeasibleLevel, workers: Workers, pack: bool) -> FeasibleLevel
     level carries no generators, so it cannot be extended."""
     t0 = time.perf_counter()
     k = level.k
-    if k >= 16:
-        raise ValueError("levels beyond 16 vertices are unsupported")
+    if k >= MAX_VERTICES:
+        raise ValueError(f"levels beyond {MAX_VERTICES} vertices are unsupported")
     workers.shared[2].value = 0  # the level's clean-mask counter
     parents = tuple(zip((g.bits for g in level.graphs), level.generators, strict=True))
     results = workers.map(_expand_chunk, k, parents, pack)
@@ -369,25 +353,34 @@ def run_search(
     cap: int = DEFAULT_SURVIVOR_CAP,
     witnesses: bool = False,
     progress: bool = False,
-) -> SearchReport:
+) -> dict:
     """Grow feasible levels from the 1-vertex coloring up to n_max vertices,
     in `jobs` processes, failing once a level's clean-mask count passes
     `cap`; `progress` prints a line per level to stderr.
 
-    Stops early once a level is empty.  With `witnesses`, the report embeds
-    the last non-empty level as graph6 lines, by ascending lex-min code.
-    The verdict, level counts and witnesses are deterministic for any
-    worker count; only the timing fields vary run to run, and the partial
-    counts of a level that passed the cap depend on where its chunks
+    Stops early once a level is empty.  The report is the JSON object the
+    `search` command writes; with `witnesses`, it embeds the last non-empty
+    level as graph6 lines, by ascending lex-min code.  Its `timing_free`
+    view is deterministic for any worker count, except the partial counts
+    of a level that passed the cap, which depend on where its chunks
     stopped.
     """
-    if not 1 <= n_max <= 16:
-        raise ValueError("n_max must be in 1..16")
-    report = SearchReport(family=fam.describe(), n_max=n_max, jobs=jobs, cap=cap)
+    if not 1 <= n_max <= MAX_VERTICES:
+        raise ValueError(f"n_max must be in 1..{MAX_VERTICES}")
+    report = {
+        "family": fam.describe(),
+        "n_max": n_max,
+        "jobs": jobs,
+        "cap": cap,
+        "seed": 0,  # the search draws nothing at random; the schema keeps the field
+        "levels": [],
+        "verdict": None,
+        "witnesses": None,
+    }
     start = time.perf_counter()
     with Workers(fam, cap, jobs) as workers:
         for level in levels(fam, n_max, workers):
-            report.levels.append({key: getattr(level, key) for key in LEVEL_FIELDS})
+            report["levels"].append({key: getattr(level, key) for key in LEVEL_FIELDS})
             if progress and level.k > 1:
                 print(
                     f"level={level.k} expanded={level.expanded} kept={level.kept} "
@@ -398,15 +391,15 @@ def run_search(
                 final = level  # the last non-empty level
             # the chunks stop once kept, never below count, passes the cap
             if level.kept > cap:
-                report.verdict = {"kind": "cap-exceeded", "k": level.k}
+                report["verdict"] = {"kind": "cap-exceeded", "k": level.k}
                 raise SearchCapExceeded(report)
         if witnesses:
             lines = [Graph(final.k, code).to_graph6() for code in final.codes(workers)]
-            report.witnesses = {"k": final.k, "count": final.count, "graph6": lines}
+            report["witnesses"] = {"k": final.k, "count": final.count, "graph6": lines}
     if level.count == 0:
-        report.verdict = {"kind": "empty-at-k", "k": level.k}
+        report["verdict"] = {"kind": "empty-at-k", "k": level.k}
     else:
-        report.verdict = {
+        report["verdict"] = {
             "kind": "feasible-survivors",
             "k": level.k,
             "count": level.count,

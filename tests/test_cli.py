@@ -13,7 +13,10 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 from champagne.cli import bundled_path, main
+from champagne.forbidden import default_family
 from champagne.graphs import Graph
+from champagne.jsonout import dumps
+from champagne.search import SearchCapExceeded, run_search, timing_free
 
 requires_jsonschema = pytest.mark.skipif(
     jsonschema is None, reason="jsonschema not installed"
@@ -251,11 +254,7 @@ def test_search_alias_report_bytes(capsys, family, n, digest):
         "--embed-witnesses",
     )
     assert code == 0
-    report = json.loads(out)
-    report.pop("jobs")
-    for level in report["levels"]:
-        level.pop("seconds")
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(timing_free(json.loads(out)), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -267,12 +266,30 @@ def test_search_deterministic_output_across_jobs(capsys):
             "--jobs", jobs, "--quiet", "--embed-witnesses",
         )
         assert code == 0
-        report = json.loads(out)
-        report.pop("jobs")
-        for level in report["levels"]:
-            level.pop("seconds")
-        outs.append(json.dumps(report, sort_keys=True))
+        outs.append(json.dumps(timing_free(json.loads(out)), sort_keys=True))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, kwargs, expected",
+    [
+        (["--n", "6", "--embed-witnesses"], {"n_max": 6, "witnesses": True}, 0),
+        (["--cap", "10"], {"n_max": 10, "cap": 10}, 3),
+    ],
+    ids=["default-6", "cap-10"],
+)
+def test_search_out_is_the_library_report(capsys, tmp_path, argv, kwargs, expected):
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "search", "--jobs", "1", "--quiet", "--out", str(out_path), *argv
+    )
+    assert code == expected
+    try:
+        report = run_search(default_family(), jobs=1, **kwargs)
+    except SearchCapExceeded as exc:
+        report = exc.report
+    written = timing_free(json.loads(out_path.read_text(encoding="utf-8")))
+    assert written == json.loads(dumps(timing_free(report)))
 
 
 # -- verify-signatures ----------------------------------------------------------

@@ -1,11 +1,14 @@
 """Level-by-level search: counts, oracles, determinism, and reporting."""
 
+import copy
 import hashlib
 import itertools
+import json
 import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,7 @@ from champagne.forbidden import (
     ramsey_family,
 )
 from champagne.graphs import Graph, canonical_form, complement, pair_count, permute
+from champagne.jsonout import dumps
 from champagne.search import (
     DEFAULT_SURVIVOR_CAP,
     MAX_JOBS,
@@ -39,6 +43,7 @@ from champagne.search import (
     _orbit_representatives,
     extend_level,
     run_search,
+    timing_free,
 )
 
 FAM = default_family()
@@ -106,31 +111,31 @@ def test_level_4_matches_inline_enumeration():
 
 def test_run_search_small_report():
     rep = run_search(FAM, 4)
-    assert [(l["k"], l["count"]) for l in rep.levels] == [
+    assert [(l["k"], l["count"]) for l in rep["levels"]] == [
         (1, 1),
         (2, 2),
         (3, 4),
         (4, 9),
     ]
-    assert rep.verdict == {"kind": "feasible-survivors", "k": 4, "count": 9}
+    assert rep["verdict"] == {"kind": "feasible-survivors", "k": 4, "count": 9}
 
 
 def test_default_family_golden_counts():
     rep = run_search(FAM, 10)
-    assert [l["count"] for l in rep.levels] == GOLDEN_DEFAULT
-    assert rep.verdict == {"kind": "empty-at-k", "k": 10}
+    assert [l["count"] for l in rep["levels"]] == GOLDEN_DEFAULT
+    assert rep["verdict"] == {"kind": "empty-at-k", "k": 10}
 
 
 def test_r34_golden_counts():
     rep = run_search(R34, 9)
-    assert [l["count"] for l in rep.levels] == GOLDEN_R34
-    assert rep.verdict == {"kind": "empty-at-k", "k": 9}
-    assert rep.levels[-2]["count"] == 3  # level 8 is non-empty
+    assert [l["count"] for l in rep["levels"]] == GOLDEN_R34
+    assert rep["verdict"] == {"kind": "empty-at-k", "k": 9}
+    assert rep["levels"][-2]["count"] == 3  # level 8 is non-empty
 
 
 def test_monotone_emptiness():
     for n_max in (9, 10, 12):
-        assert run_search(R34, n_max).verdict == {"kind": "empty-at-k", "k": 9}
+        assert run_search(R34, n_max)["verdict"] == {"kind": "empty-at-k", "k": 9}
 
 
 def test_levels_match_direct_enumeration_small():
@@ -179,8 +184,8 @@ def test_deterministic_across_worker_counts():
         run_search(FAM, 7, jobs=j, witnesses=True)
         for j in (1, 2, 3)
     ]
-    baseline = reports[0].to_json(with_timing=False)
-    assert all(r.to_json(with_timing=False) == baseline for r in reports[1:])
+    baseline = dumps(timing_free(reports[0]))
+    assert all(dumps(timing_free(r)) == baseline for r in reports[1:])
 
 
 @pytest.mark.parametrize(
@@ -196,7 +201,7 @@ def test_report_bytes_pin_canonical_codes(fam, n, digest, jobs):
     # the brute-force oracle stops at n <= 8; these digests pin every
     # canonical code and witness of the full searches beyond it
     report = run_search(fam, n, jobs=jobs, witnesses=True)
-    text = report.to_json(with_timing=False)
+    text = dumps(timing_free(report))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -346,7 +351,7 @@ def test_one_pool_per_search_and_no_worker_outlives_it(monkeypatch):
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", recording)
     rep = run_search(FAM, 10, jobs=2)
-    assert rep.verdict == {"kind": "empty-at-k", "k": 10}
+    assert rep["verdict"] == {"kind": "empty-at-k", "k": 10}
     assert pools == [2]
     assert multiprocessing.active_children() == []
     with pytest.raises(SearchCapExceeded):
@@ -483,25 +488,25 @@ def test_each_class_is_canonicalized_once(monkeypatch, name, n, calls):
 
 def test_witness_embedding():
     rep = run_search(FAM, 4, witnesses=True)
-    lines = rep.witnesses["graph6"]
+    lines = rep["witnesses"]["graph6"]
     assert len(lines) == 9
-    assert rep.witnesses == {"k": 4, "count": 9, "graph6": lines}
+    assert rep["witnesses"] == {"k": 4, "count": 9, "graph6": lines}
     assert lines == sorted(lines, key=lambda s: Graph.from_graph6(s).bits)
     assert all(Graph.from_graph6(s).n == 4 for s in lines)
 
 
 def test_witnesses_fall_back_to_last_nonempty_level():
     rep = run_search(R34, 9, witnesses=True)
-    assert rep.witnesses["k"] == 8
-    assert rep.witnesses["count"] == 3
+    assert rep["witnesses"]["k"] == 8
+    assert rep["witnesses"]["count"] == 3
 
 
 def test_survivor_cap():
     with pytest.raises(SearchCapExceeded) as err:
         run_search(FAM, 6, cap=10)
     partial = err.value.report
-    assert partial.verdict["kind"] == "cap-exceeded"
-    last = partial.levels[-1]
+    assert partial["verdict"]["kind"] == "cap-exceeded"
+    last = partial["levels"][-1]
     assert max(last["kept"], last["count"]) > 10  # kept counts every clean mask
 
 
@@ -516,7 +521,7 @@ def test_survivor_cap_stops_the_level_early(monkeypatch):
     monkeypatch.setattr(search, "_clean_extensions", counting)
     with pytest.raises(SearchCapExceeded) as err:
         run_search(FAM, 10, cap=100)
-    last = err.value.report.levels[-1]
+    last = err.value.report["levels"][-1]
     assert max(last["kept"], last["count"]) > 100
     capped = calls.count(last["k"] - 1)
     calls.clear()
@@ -567,7 +572,7 @@ def test_brute_force_agrees_with_search_emptiness():
     for fam in (FAM, R34):
         for n in range(1, 7):
             rep = run_search(fam, n)
-            empty = rep.verdict["kind"] == "empty-at-k"
+            empty = rep["verdict"]["kind"] == "empty-at-k"
             assert brute_force_check(fam, n) == empty
 
 
@@ -582,14 +587,31 @@ def test_feasible_level_validate_catches_corruption():
 
 
 def test_report_json_shapes():
-    rep = run_search(FAM, 3)
-    obj = rep.to_json_obj()
-    assert {"family", "n_max", "jobs", "cap", "seed", "levels", "verdict",
-            "witnesses"} <= set(obj)
-    assert all("seconds" in level for level in obj["levels"])
-    flat = rep.to_json_obj(with_timing=False)
-    assert "jobs" not in flat
-    assert all("seconds" not in level for level in flat["levels"])
+    # the timing-free view holds exactly the fields the schema requires
+    path = resources.files("champagne").joinpath("schemas", "search_report.schema.json")
+    schema = json.loads(path.read_text(encoding="utf-8"))
+    level_keys = set(schema["properties"]["levels"]["items"]["required"])
+    flat = timing_free(run_search(FAM, 3, witnesses=True))
+    assert set(flat) == set(schema["required"])
+    assert all(set(level) == level_keys for level in flat["levels"])
+
+
+def test_timing_free_leaves_its_input_unchanged():
+    rep = run_search(FAM, 5, witnesses=True)
+    before = copy.deepcopy(rep)
+    flat = timing_free(rep)
+    assert rep == before
+    assert flat is not rep and flat["levels"] is not rep["levels"]
+
+
+def test_timing_free_drops_exactly_jobs_and_seconds():
+    for rep in (run_search(FAM, 5, jobs=2), run_search(R34, 9, witnesses=True)):
+        flat = timing_free(rep)
+        assert set(rep) - set(flat) == {"jobs"}
+        assert all(flat[key] == rep[key] for key in flat if key != "levels")
+        for level, full in zip(flat["levels"], rep["levels"], strict=True):
+            assert set(full) - set(level) == {"seconds"}
+            assert all(level[key] == full[key] for key in level)
 
 
 def test_search_with_single_both_scope_pattern():
@@ -597,8 +619,8 @@ def test_search_with_single_both_scope_pattern():
     # and the 5-cycle is the lone survivor at 5 vertices
     fam = ForbiddenFamily([(Graph.complete(3), "both")])
     rep = run_search(fam, 9)
-    assert rep.verdict == {"kind": "empty-at-k", "k": 6}
-    assert [l["count"] for l in rep.levels] == [1, 2, 2, 3, 1, 0]
+    assert rep["verdict"] == {"kind": "empty-at-k", "k": 6}
+    assert [l["count"] for l in rep["levels"]] == [1, 2, 2, 3, 1, 0]
     levels = feasible_levels(fam, 9)
     assert [level.count for level in levels] == [1, 2, 2, 3, 1, 0]
     for level in levels[:5]:
