@@ -64,7 +64,10 @@ def _probe_writable(path: str) -> None:
 
 def cmd_search(args) -> int:
     fam = _resolve_family(args.family)
-    # a search can run for minutes: refuse an unwritable path first
+    # a search can run for minutes: refuse a bad path first
+    paths = [os.path.realpath(path) for path in (args.out, args.witnesses) if path]
+    if len(set(paths)) < len(paths):
+        raise ValueError(f"--witnesses and --out name the same file: {args.out}")
     for path in (args.out, args.witnesses):
         if path:
             _probe_writable(path)
@@ -107,13 +110,12 @@ def _catalog_signature_checks():
 
 
 def cmd_verify_signatures(args) -> int:
-    corrupt = (0, 1) if args.selftest_corrupt else None
     if args.out:  # refuse an unwritable path before sampling
         _probe_writable(args.out)
     lemmas = []
     for kind in signature.LEMMAS:
         lemma = signature.verify_pattern_lemma(
-            kind, args.trials, args.seed, corrupt_slot=corrupt
+            kind, args.trials, args.seed, corrupt=args.selftest_corrupt
         )
         lemmas.append(lemma)
         status = "ok" if lemma["passed"] else "FAIL"

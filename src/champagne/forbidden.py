@@ -15,7 +15,9 @@ For the level-by-level search, `completions[m]` splits each bad code into
 its prefix (bits among the first m-1 vertices; the slot order groups pairs
 by their larger endpoint) and the last vertex's column c: sorted distinct
 prefixes, and a bool table whose [prefix row, c] entries mark bad codes.
-Checking all one-vertex extensions then reduces to prefix lookups.
+Checking all one-vertex extensions then reduces to prefix lookups.  That
+check is `search._clean_extensions`; the scalar one-subset-at-a-time check
+it is tested against is `is_forbidden` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from importlib import resources
 import numpy as np
 
 from . import catalog
-from .graphs import Graph, induced_code, pair_count
+from .graphs import Graph, pair_count
+from .graphs import induced_code  # noqa: F401  perfbench traces it by this name
 from .jsonout import load
 
 SCOPES = ("both", "red", "blue")
@@ -152,36 +155,3 @@ def family_from_json(obj) -> ForbiddenFamily:
 def load_family(path: str) -> ForbiddenFamily:
     return family_from_json(load(path))
 
-
-def is_forbidden(g: Graph, fam: ForbiddenFamily) -> bool:
-    """Does some entry occur induced in its scoped color of the coloring g?"""
-    rows = g.rows()
-    for m in fam.sizes:
-        if m > g.n:
-            break
-        codes = fam.bad_codes[m]
-        for subset in itertools.combinations(range(g.n), m):
-            if induced_code(rows, subset) in codes:
-                return True
-    return False
-
-
-def is_forbidden_incremental(g: Graph, fam: ForbiddenFamily, v_new: int) -> bool:
-    """is_forbidden(g, fam), assuming g minus v_new is already clean.
-
-    Only subsets through v_new are enumerated, which is what makes the
-    one-vertex-at-a-time search filter affordable.
-    """
-    if not 0 <= v_new < g.n:
-        raise ValueError(f"vertex {v_new} outside 0..{g.n - 1}")
-    rows = g.rows()
-    others = [v for v in range(g.n) if v != v_new]
-    for m in fam.sizes:
-        if m > g.n:
-            break
-        codes = fam.bad_codes[m]
-        for rest in itertools.combinations(others, m - 1):
-            subset = sorted(rest + (v_new,))
-            if induced_code(rows, subset) in codes:
-                return True
-    return False

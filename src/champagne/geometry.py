@@ -72,15 +72,6 @@ class DirectedLine:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "direction", direction)
 
-    @classmethod
-    def through(cls, base, direction) -> "DirectedLine":
-        """Build from an un-normalized direction."""
-        direction = np.asarray(direction, dtype=float)
-        norm = np.linalg.norm(direction)
-        if norm == 0:
-            raise GeometryError("direction must be nonzero")
-        return cls(np.asarray(base, dtype=float), direction / norm)
-
     @property
     def dim(self) -> int:
         return self.base.size

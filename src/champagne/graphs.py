@@ -65,13 +65,6 @@ class Graph:
     def complete(cls, n: int) -> "Graph":
         return cls(n, (1 << pair_count(n)) - 1)
 
-    @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n, 0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.bits >> pair_slot(u, v) & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         return [
             (u, v)
@@ -79,9 +72,6 @@ class Graph:
             for u in range(v)
             if self.bits >> pair_slot(u, v) & 1
         ]
-
-    def edge_count(self) -> int:
-        return self.bits.bit_count()
 
     def rows(self) -> tuple[int, ...]:
         """Adjacency bitmask of each vertex."""

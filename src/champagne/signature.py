@@ -52,10 +52,6 @@ class MatrixError(ValueError):
     pass
 
 
-class PatternViolation(MatrixError):
-    pass
-
-
 class Signature(NamedTuple):
     n_plus: int
     n_zero: int
@@ -102,18 +98,20 @@ class SymMatrix:
             rows[u][v] = rows[v][u] = 1
         return cls(rows)
 
-    def check_pattern(self, pattern: frozenset) -> None:
-        """Require strict positivity on the pattern's pairs (either order)
-        and exact zero everywhere else, diagonal included."""
+    def check_pattern(self, pattern: frozenset) -> str | None:
+        """The first slot that breaks strict positivity on the pattern's
+        pairs (either order) or exact zero everywhere else, diagonal
+        included, as a message; None when every slot keeps the pattern."""
         for i in range(self.n):
             for j in range(i + 1):
                 v = self.numerators[i][j]
                 on = (j, i) in pattern or (i, j) in pattern
                 if not (v > 0 if on else v == 0):
-                    raise PatternViolation(
+                    return (
                         f"slot ({j},{i}) must be {'positive' if on else 'zero'}, "
                         f"got {self.fraction(v)}"
                     )
+        return None
 
     def to_json_obj(self) -> dict:
         # "mode" is a required field of the signature report schema
@@ -311,11 +309,8 @@ def check_sample(m: SymMatrix, kind: str) -> list[str]:
     spec = _lemma(kind)
     if m.n != spec.n:
         return [f"size {m.n} != {spec.n}"]
-    problems = []
-    try:
-        m.check_pattern(spec.pairs)
-    except PatternViolation as exc:
-        problems.append(f"pattern: {exc}")
+    violation = m.check_pattern(spec.pairs)
+    problems = [f"pattern: {violation}"] if violation else []
     det, sig = _exact_invariants(m)
     expected_det = spec.det_formula(m.numerators)
     if det != expected_det:
@@ -332,15 +327,15 @@ def check_sample(m: SymMatrix, kind: str) -> list[str]:
 
 
 def verify_pattern_lemma(
-    kind: str, trials: int, seed: int = 0, corrupt_slot=None
+    kind: str, trials: int, seed: int = 0, corrupt: bool = False
 ) -> dict:
     """Sample `trials` matrices of the given sign pattern and check each for
     the determinant identity and the expected signature; the report is the
     JSON object `verify-signatures` writes for the kind.
 
     Per-trial RNG streams derive from (seed, kind, trial index), so results
-    are reproducible for any parallel execution order.  `corrupt_slot` is a
-    self-test hook: it zeroes that slot in every sample, which the pattern
+    are reproducible for any parallel execution order.  `corrupt` is a
+    self-test hook: it zeroes slot (0, 1) in every sample, which the pattern
     check must flag.
     """
     if trials < 1:
@@ -349,10 +344,9 @@ def verify_pattern_lemma(
     failures = []
     for trial in range(trials):
         m = spec.sample(random.Random(f"{seed}:{kind}:{trial}"))
-        if corrupt_slot is not None:
+        if corrupt:
             rows = [list(r) for r in m.numerators]
-            u, v = corrupt_slot
-            rows[u][v] = rows[v][u] = 0
+            rows[0][1] = rows[1][0] = 0
             m = SymMatrix(rows, m.denominator)
         problems = check_sample(m, kind)
         if problems:

@@ -3,13 +3,15 @@
 Each one computes a quantity the program also computes, by a slower and
 more obvious route: all permutations instead of a pruned backtrack or a
 numpy table of vertex orders, all labeled colorings instead of the
-one-vertex-at-a-time search, Gaussian elimination instead of the
-characteristic polynomial, dense Faddeev-LeVerrier instead of sparse power
-sums, per-entry Fractions instead of integer numerators over one
-denominator, a loop over the bit slots instead of one string reversal.
+one-vertex-at-a-time search, every vertex subset (`is_forbidden`, the
+scalar forbidden-pattern check) instead of the search's prefix tables,
+Gaussian elimination instead of the characteristic polynomial, dense
+Faddeev-LeVerrier instead of sparse power sums, per-entry Fractions
+instead of integer numerators over one denominator, a loop over the bit
+slots instead of one string reversal.
 `validate_level` checks the invariants of one search level, and
 `assert_keyed_form` those of one keyed canonical form.  They are capped to
-small inputs and no command runs them.
+small inputs and no CLI command runs them.
 """
 
 import itertools
@@ -19,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from champagne.forbidden import ForbiddenFamily, is_forbidden
+from champagne.forbidden import ForbiddenFamily
 from champagne.geometry import DirectedLine, GeometryError, LineConfig
 from champagne.graphs import (CanonicalForm, Graph, GraphError, canonical_form,
                               induced_code, pair_count, pair_slot, permute)
@@ -195,6 +197,25 @@ def labeled_copies_by_permutation(pattern: Graph) -> frozenset[int]:
         permute(pattern, perm).bits
         for perm in itertools.permutations(range(pattern.n))
     )
+
+
+def is_forbidden(g: Graph, fam: ForbiddenFamily, through=None) -> bool:
+    """Does some entry of `fam` occur induced in its scoped color of the
+    coloring g?  One induced code per vertex subset, looked up in
+    `fam.bad_codes`.  With `through` set, only the subsets that contain
+    that vertex are tried, which is enough when g minus it is clean; it
+    comes last in each, since the codes hold every labeled copy."""
+    rows = g.rows()
+    if through is None:
+        subsets = (s for m in fam.sizes for s in itertools.combinations(range(g.n), m))
+    else:
+        others = [v for v in range(g.n) if v != through]
+        subsets = (
+            (*rest, through)
+            for m in fam.sizes
+            for rest in itertools.combinations(others, m - 1)
+        )
+    return any(induced_code(rows, s) in fam.bad_codes[len(s)] for s in subsets)
 
 
 def contains_induced(g: Graph, pattern: Graph) -> bool:
@@ -511,8 +532,10 @@ def rigid_transform(cfg: LineConfig, matrix, shift=None) -> LineConfig:
     if not np.allclose(matrix.T @ matrix, np.eye(cfg.dim), atol=1e-12):
         raise GeometryError("transform matrix is not orthogonal")
     shift = np.zeros(cfg.dim) if shift is None else np.asarray(shift, dtype=float)
-    lines = tuple(
-        DirectedLine.through(matrix @ ln.base + shift, matrix @ ln.direction)
-        for ln in cfg.lines
-    )
-    return LineConfig(cfg.dim, lines, cfg.tolerance)
+    lines = []
+    for ln in cfg.lines:
+        direction = matrix @ ln.direction  # unit up to rounding; renormalized
+        lines.append(
+            DirectedLine(matrix @ ln.base + shift, direction / np.linalg.norm(direction))
+        )
+    return LineConfig(cfg.dim, tuple(lines), cfg.tolerance)

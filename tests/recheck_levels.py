@@ -2,8 +2,9 @@
 
 For each class on levels 1-9 of `search --family default` (its lex-min
 code from `FeasibleLevel.codes()`), every one of its 2^k one-vertex
-extensions is tested with `is_forbidden_incremental` (induced subsets
-through the new vertex, one at a time).  Two checks ride on that one loop:
+extensions is tested with the scalar oracle `is_forbidden` of
+tests/oracles.py (induced subsets through the new vertex, one at a time).
+Two checks ride on that one loop:
 
 - filter: the verdict agrees with the masks `_clean_extensions` keeps;
 - closure: the lex-min code of each clean child is a class of level k+1,
@@ -20,7 +21,9 @@ import itertools
 import sys
 import time
 
-from champagne.forbidden import default_family, is_forbidden_incremental
+from oracles import is_forbidden  # tests/, this script's directory
+
+from champagne.forbidden import default_family
 from champagne.graphs import Graph, canonical_form, pair_count
 from champagne.search import _clean_extensions, levels
 
@@ -36,7 +39,7 @@ def main() -> int:
             clean = set(_clean_extensions(parent, fam).tolist())
             for mask in range(1 << k):
                 child = Graph(k + 1, code | mask << shift)
-                forbidden = is_forbidden_incremental(child, fam, k)
+                forbidden = is_forbidden(child, fam, through=k)
                 if forbidden == (mask in clean):
                     disagreements += 1
                     print(f"disagree: parent {parent.to_graph6()} mask {mask}")

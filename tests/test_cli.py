@@ -681,6 +681,21 @@ def test_search_path_probe_keeps_existing_and_leaves_no_file(capsys, tmp_path):
     assert not fresh.exists()
 
 
+def test_search_refuses_one_file_for_witnesses_and_report(capsys, tmp_path, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("run_search called with one path for both outputs")
+
+    monkeypatch.setattr("champagne.cli.run_search", no_search)
+    path = tmp_path / "both"
+    path.write_text("old")
+    same = f"{tmp_path}/./both"  # another spelling of the same file
+    code, out, err = run_cli(capsys, "search", "--family", "r34", "--n", "9", "--quiet",
+                             "--witnesses", str(path), "--out", same)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: --witnesses and --out name the same file: {same}"]
+    assert path.read_text() == "old"
+
+
 # -- installed entry point ----------------------------------------------------------
 
 

@@ -17,8 +17,6 @@ from champagne.forbidden import (
     default_family,
     family_from_json,
     induced_code,
-    is_forbidden,
-    is_forbidden_incremental,
     labeled_copies,
     load_family,
     ramsey_family,
@@ -31,8 +29,14 @@ from champagne.graphs import (
     pair_count,
     permute,
 )
+from champagne.search import _clean_extensions
 from conftest import graphs, isomorphic_by_permutations, random_graph
-from oracles import contains_induced, labeled_copies_by_permutation, path_graph
+from oracles import (
+    contains_induced,
+    is_forbidden,
+    labeled_copies_by_permutation,
+    path_graph,
+)
 
 FAM = default_family()
 
@@ -88,11 +92,11 @@ def test_contains_induced_against_permutation_oracle():
 
 
 def test_is_forbidden_examples():
-    assert is_forbidden(Graph.empty(4), FAM)  # 4 lines pairwise -1
+    assert is_forbidden(Graph(4), FAM)  # 4 lines pairwise -1
     assert not is_forbidden(catalog.cycle_graph(5), FAM)
     assert is_forbidden(catalog.get("K7-H7"), FAM)
     assert is_forbidden(Graph.complete(4), FAM)
-    assert not is_forbidden(Graph.empty(3), FAM)
+    assert not is_forbidden(Graph(3), FAM)
 
 
 def test_default_family_is_an_antichain():
@@ -122,50 +126,37 @@ def test_monotone_under_induced_subgraphs(rng):
 
 def test_incremental_trivial_cases():
     k4 = cone(Graph.complete(3))
-    assert is_forbidden_incremental(k4, FAM, 3)
+    assert is_forbidden(k4, FAM, through=3)
     # a lone extra vertex is not harmless: the complement of C5 + K1 is
     # exactly the center-plus-pentagram pattern, so this extension dies
     c5_plus_isolated = Graph.from_edges(6, catalog.cycle_graph(5).edges())
     assert contains_induced(complement(c5_plus_isolated), catalog.get("K6-C5"))
-    assert is_forbidden_incremental(c5_plus_isolated, FAM, 5)
+    assert is_forbidden(c5_plus_isolated, FAM, through=5)
     p4_plus_isolated = Graph.from_edges(5, path_graph(4).edges())
-    assert not is_forbidden_incremental(p4_plus_isolated, FAM, 4)
+    assert not is_forbidden(p4_plus_isolated, FAM, through=4)
 
 
 def test_incremental_agrees_with_full_check(rng):
+    # the search's filter keeps exactly the one-vertex extensions of a
+    # clean parent that the scalar check finds clean
     checked = 0
     while checked < 10_000:
-        n = rng.randint(2, 8)
-        g = random_graph(rng, n)
-        if is_forbidden(induced_subgraph(g, range(n - 1)), FAM):
+        k = rng.randint(1, 7)
+        parent = random_graph(rng, k)
+        if is_forbidden(parent, FAM):
             continue
-        checked += 1
-        assert is_forbidden_incremental(g, FAM, n - 1) == is_forbidden(g, FAM)
-
-
-def test_incremental_any_vertex_position(rng):
-    checked = 0
-    while checked < 300:
-        n = rng.randint(3, 8)
-        g = random_graph(rng, n)
-        v = rng.randrange(n)
-        rest = [u for u in range(n) if u != v]
-        if is_forbidden(induced_subgraph(g, rest), FAM):
-            continue
-        checked += 1
-        assert is_forbidden_incremental(g, FAM, v) == is_forbidden(g, FAM)
-
-
-def test_incremental_rejects_bad_vertex():
-    with pytest.raises(ValueError):
-        is_forbidden_incremental(Graph.complete(3), FAM, 3)
+        clean = set(_clean_extensions(parent, FAM).tolist())
+        for mask in range(1 << k):
+            child = Graph(k + 1, parent.bits | mask << pair_count(k))
+            assert (mask in clean) == (not is_forbidden(child, FAM)), (parent, mask)
+        checked += 1 << k
 
 
 def test_scoped_family_is_asymmetric():
     fam = ramsey_family(3, 4)
     assert is_forbidden(Graph.complete(3), fam)  # red triangle
-    assert not is_forbidden(Graph.empty(3), fam)  # blue triangle is allowed
-    assert is_forbidden(Graph.empty(4), fam)  # blue K4
+    assert not is_forbidden(Graph(3), fam)  # blue triangle is allowed
+    assert is_forbidden(Graph(4), fam)  # blue K4
     assert is_forbidden(Graph.complete(4), fam)  # contains a red triangle
 
 
@@ -233,7 +224,7 @@ def copy_oracle_graphs(n):
     rng = random.Random(n)
     found = [g for g in catalog.CATALOG.values() if g.n == n]
     found += [complement(g) for g in found]
-    found += [Graph.empty(n), Graph.complete(n)]
+    found += [Graph(n), Graph.complete(n)]
     found += [random_graph(rng, n) for _ in range(2)]
     return list(dict.fromkeys(found))
 

@@ -22,7 +22,7 @@ from champagne.geometry import (
     lower_bound_config,
     t_matrix,
 )
-from champagne.graphs import Graph, complement, switch
+from champagne.graphs import Graph, complement, pair_slot, switch
 from champagne.jsonout import dumps
 from oracles import rigid_transform
 
@@ -33,7 +33,8 @@ THREE = LineConfig(3, (X_AXIS, L2, L3))
 
 
 def random_line(rng, dim=3):
-    return DirectedLine.through(rng.normal(size=dim), rng.normal(size=dim))
+    base, direction = rng.normal(size=dim), rng.normal(size=dim)
+    return DirectedLine(base, direction / np.linalg.norm(direction))
 
 
 def closest_approach(a, b):
@@ -56,11 +57,7 @@ def test_directed_line_validation():
         DirectedLine(np.zeros(2), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(GeometryError):
         DirectedLine(np.zeros(1), np.ones(1))
-    with pytest.raises(GeometryError):
-        DirectedLine.through(np.zeros(3), np.zeros(3))
-    ln = DirectedLine.through(np.zeros(3), np.array([2.0, 0.0, 0.0]))
-    assert np.allclose(ln.direction, [1, 0, 0])
-    assert np.allclose(ln.reversed().direction, [-1, 0, 0])
+    assert np.allclose(X_AXIS.reversed().direction, [-1, 0, 0])
 
 
 @pytest.mark.parametrize(
@@ -224,7 +221,7 @@ def test_parallel_pair_is_flagged():
     assert report.has_parallel and not report.valid
     flagged = [p for p in report.pairs if p["parallel"]]
     assert [(p["v"], p["w"]) for p in flagged] == [(0, 1)]
-    assert not graph.has_edge(0, 1)
+    assert not graph.bits >> pair_slot(0, 1) & 1
 
 
 def test_rigid_motion_invariance():

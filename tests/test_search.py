@@ -20,17 +20,13 @@ from oracles import (
     brute_force_level_codes,
     clean_extensions_scalar,
     group_closure,
+    is_forbidden,
     search_keys,
     validate_level,
 )
 
 from champagne import catalog, search
-from champagne.forbidden import (
-    ForbiddenFamily,
-    default_family,
-    is_forbidden_incremental,
-    ramsey_family,
-)
+from champagne.forbidden import ForbiddenFamily, default_family, ramsey_family
 from champagne.graphs import Graph, canonical_form, complement, pair_count, permute
 from champagne.jsonout import dumps
 from champagne.search import (
@@ -96,8 +92,6 @@ def test_extend_level_first_steps():
 
 def test_level_4_matches_inline_enumeration():
     # independent in-test oracle: filter + dedup all 64 labeled colorings
-    from champagne.forbidden import is_forbidden
-
     expected = sorted(
         {
             canonical_form(Graph(4, bits)).code
@@ -305,12 +299,12 @@ def test_clean_extensions_on_large_random_parents():
         sample = rng.sample(sorted(clean), 3) + rng.sample(bad, 3)
         for mask in sample:
             child = Graph(k + 1, parent.bits | mask << pair_count(k))
-            assert is_forbidden_incremental(child, fam, k) == (mask not in clean)
+            assert is_forbidden(child, fam, through=k) == (mask not in clean)
 
 
 def test_orbit_representatives_are_the_orbit_minima():
     rng = random.Random(5)
-    cases = [catalog.cycle_graph(6), catalog.complete_bipartite(2, 4), Graph.empty(5)]
+    cases = [catalog.cycle_graph(6), catalog.complete_bipartite(2, 4), Graph(5)]
     cases += [Graph(7, rng.getrandbits(21)) for _ in range(5)]
     for g in cases:
         generators = canonical_form(g).generators

@@ -14,7 +14,6 @@ from champagne.signature import (
     LEMMAS,
     SAMPLE_DENOMINATOR,
     MatrixError,
-    PatternViolation,
     SymMatrix,
     charpoly_int,
     check_sample,
@@ -113,20 +112,18 @@ def test_exact_route_matches_oracles_on_lemma_samples(kind, monkeypatch):
         assert det_exact(m) == det_bareiss(m)
 
 
-@pytest.mark.parametrize("corrupt_slot", [None, (0, 1)], ids=["clean", "corrupt"])
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupt"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_check_sample_matches_fraction_oracle_on_lemma_samples(
-    kind, corrupt_slot, monkeypatch
+    kind, corrupt, monkeypatch
 ):
-    seen = recorded_samples(
-        kind, monkeypatch, trials=40, seed=0, corrupt_slot=corrupt_slot
-    )
+    seen = recorded_samples(kind, monkeypatch, trials=40, seed=0, corrupt=corrupt)
     assert len(seen) == 40
     for m, problems in seen:
         expected, det, sig = check_sample_by_fractions(m, kind)
         assert problems == expected
         assert (det_exact(m), signature_exact(m)) == (det, sig)
-        assert bool(problems) == (corrupt_slot is not None)
+        assert bool(problems) == corrupt
 
 
 def rational_symmetric(rng, kind):
@@ -378,12 +375,12 @@ def test_verify_pattern_lemma_is_the_cli_lemma_field(corrupt, tmp_path):
     lemmas = json.loads(out.read_text())["lemmas"]
     assert len(lemmas) == len(LEMMAS)
     for kind, lemma in zip(LEMMAS, lemmas):
-        report = verify_pattern_lemma(kind, 3, 1, corrupt_slot=(0, 1) if corrupt else None)
+        report = verify_pattern_lemma(kind, 3, 1, corrupt=corrupt)
         assert json.loads(dumps(report)) == lemma
 
 
 def test_verify_pattern_lemma_flags_corruption():
-    report = verify_pattern_lemma("cycle(5)", trials=2, seed=0, corrupt_slot=(0, 1))
+    report = verify_pattern_lemma("cycle(5)", trials=2, seed=0, corrupt=True)
     assert not report["passed"]
     assert len(report["failures"]) == 2
     assert any("pattern" in p for p in report["failures"][0]["problems"])
@@ -435,11 +432,14 @@ def test_symmetry_is_validated():
 
 def test_check_pattern():
     pattern = {(0, 1)}
-    SymMatrix([[0, 2], [2, 0]]).check_pattern(pattern)
-    with pytest.raises(PatternViolation):
-        SymMatrix([[0, 0], [0, 0]]).check_pattern(pattern)
-    with pytest.raises(PatternViolation):
-        SymMatrix([[1, 2], [2, 0]]).check_pattern(pattern)
+    assert SymMatrix([[0, 2], [2, 0]]).check_pattern(pattern) is None
+    assert SymMatrix([[0, 0], [0, 0]]).check_pattern(pattern) == (
+        "slot (0,1) must be positive, got 0"
+    )
+    assert SymMatrix([[1, 2], [2, 0]]).check_pattern(pattern) == (
+        "slot (0,0) must be zero, got 1"
+    )
+    assert SymMatrix([[0, 1], [1, 0]], 4).check_pattern({(1, 0)}) is None
 
 
 def test_matrix_json_round_trip(rng):
