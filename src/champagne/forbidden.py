@@ -16,8 +16,8 @@ its prefix (bits among the first m-1 vertices; the slot order groups pairs
 by their larger endpoint) and the last vertex's column c: sorted distinct
 prefixes, and a bool table whose [prefix row, c] entries mark bad codes.
 Checking all one-vertex extensions then reduces to prefix lookups.  That
-check is `search._clean_extensions`; the scalar one-subset-at-a-time check
-it is tested against is `is_forbidden` in tests/oracles.py.
+check is `search._clean_extensions(k, bits, fam)`, over a block of k-vertex
+parents; the scalar checks it is tested against are in tests/oracles.py.
 """
 
 from __future__ import annotations

@@ -7,11 +7,12 @@ stay clean, and accepting a child only when it is the canonical extension
 of its class.  Any clean coloring of K_{k+1} restricts to a clean coloring
 of K_k, so no survivor is missed.
 
-The extension filter never re-scans the whole graph.  Per pattern size m,
-in whole numpy arrays, it looks the induced codes of all (m-1)-subsets of
-the parent up among the family's prefix keys to find the "critical" subsets
-(one vertex short of a forbidden pattern), then marks a neighbor mask bad
-when its bits on a critical subset select a completing column.
+The extension filter never re-scans the whole graph.  It takes a block of
+parents at once.  Per pattern size m, in whole numpy arrays, it looks the
+induced codes of all (m-1)-subsets of the block's parents up among the
+family's prefix keys to find the "critical" subsets (one vertex short of a
+forbidden pattern) and their completing columns c.  It then marks only the
+bad masks: the 2^(k-m+1) masks whose bits on a critical subset spell c.
 
 Each class is made exactly once, by McKay's canonical construction path
 ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998), which is
@@ -56,6 +57,8 @@ from .graphs import MAX_VERTICES, Graph, _orbit, canonical_form, pair_count
 DEFAULT_SURVIVOR_CAP = 50_000_000
 MAX_JOBS = 64  # a fork pool starts all its workers at once, about 27 MB each
 LEVEL_FIELDS = ("k", "count", "expanded", "kept", "seconds")  # a report level
+BLOCK_PARENTS, BLOCK_CELLS = 8, 1 << 13  # a filter block: first parents, most masks
+SCATTER_ENTRIES = 1 << 14  # bad-mask indices per scatter of the filter
 
 
 class SearchCapExceeded(RuntimeError):
@@ -128,46 +131,50 @@ def _mask_bits(k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _subsets(k: int, w: int):
-    """The w-subsets of range(k), ascending, and for each the parent's bit
-    slots of its pairs in slot order."""
-    subsets = np.array(list(itertools.combinations(range(k), w)), dtype=np.intp)
+    """The w-subsets of range(k), ascending: for each, the parent's bit
+    slots of its pairs in slot order; the weights of those slots in a code;
+    and, one row per position, the mask bits of the subset's vertices and
+    of the other vertices."""
+    subsets = itertools.combinations(range(k), w)
+    rows = [s + tuple(v for v in range(k) if v not in s) for s in subsets]
+    order = np.array(rows, dtype=np.intp).reshape(-1, k)  # a subset, then the rest
     high, low = np.tril_indices(w, -1)  # pairs (j, i), j > i, in slot order
-    top = subsets[:, high]
-    return subsets, top * (top - 1) // 2 + subsets[:, low]
+    top, bits = order[:, high], np.uint16(1) << order.T.astype(np.uint16)
+    slots = top * (top - 1) // 2 + order[:, low]
+    return slots, np.int64(1) << np.arange(high.size), bits[:w], bits[w:]
 
 
-def _clean_extensions(parent: Graph, fam: ForbiddenFamily) -> np.ndarray:
-    """Neighbor masks M, ascending, for which parent + new vertex (adjacent
-    to M) is clean."""
-    k = parent.n
+def _clean_extensions(k: int, bits, fam: ForbiddenFamily) -> list[np.ndarray]:
+    """For each k-vertex parent, given by its edge bitset in `bits`: the
+    neighbor masks M, ascending, for which parent + new vertex (adjacent to
+    M) is clean."""
     nbytes = (pair_count(k) + 7) // 8
-    slots = np.unpackbits(
-        np.frombuffer(parent.bits.to_bytes(nbytes, "little"), dtype=np.uint8),
-        bitorder="little",
-    )
-    mbits = _mask_bits(k)
-    bad = np.zeros(1 << k, dtype=bool)
-    # critical subsets in blocks of at most 2^17 selector cells
-    block = max(1, (1 << 17) >> k)
+    raw = np.frombuffer(b"".join(b.to_bytes(nbytes, "little") for b in bits), np.uint8)
+    slots = np.unpackbits(raw.reshape(len(bits), nbytes), axis=1, bitorder="little")
+    bad = np.zeros(len(bits) << k, dtype=bool)  # parent p's mask M at p << k | M
     for m in fam.sizes:
         if m - 1 > k:
             break
         keys, table = fam.completions[m]
-        subsets, pair_slots = _subsets(k, m - 1)
-        weights = np.int64(1) << np.arange(pair_slots.shape[1])
-        codes = (slots[pair_slots] * weights).sum(axis=1)
+        pair_slots, weights, inside, outside = _subsets(k, m - 1)
+        codes = slots[:, pair_slots] @ weights
         rows = np.minimum(np.searchsorted(keys, codes), keys.size - 1)
-        hit = keys[rows] == codes
-        # each critical subset's row start in the flattened table
-        offsets, subsets = rows[hit] << (m - 1), subsets[hit]
-        for lo in range(0, offsets.size, block):
-            chunk = subsets[lo : lo + block]
-            # bit i of the selector is the mask's bit at the subset's i-th vertex
-            sel = mbits[chunk[:, 0]]
-            for i in range(1, m - 1):
-                sel |= mbits[chunk[:, i]] << i
-            bad |= table.ravel()[offsets[lo : lo + block, None] + sel].any(axis=0)
-    return np.flatnonzero(~bad).astype(np.uint32)
+        parent, subset = np.nonzero(keys[rows] == codes)
+        # one entry per critical (parent, subset) and completing column c;
+        # its bad masks spell c on the subset and are free on the other bits
+        entry, c = np.nonzero(table[rows[parent, subset]])
+        parent, subset = parent[entry], subset[entry]
+        base = parent << k
+        for i, bit in enumerate(inside[:, subset]):
+            base |= (c >> i & 1) * bit
+        step = max(1, SCATTER_ENTRIES >> (k - m + 1))
+        for lo in range(0, base.size, step):
+            marks = base[lo : lo + step, None]
+            for other in outside[:, subset[lo : lo + step]]:
+                marks = np.concatenate((marks, marks | other[:, None]), axis=1)
+            bad[marks] = True
+    clean = ~bad.reshape(len(bits), 1 << k)
+    return [np.flatnonzero(row).astype(np.uint32) for row in clean]
 
 
 def _orbit_representatives(masks: np.ndarray, generators, k: int) -> np.ndarray:
@@ -259,6 +266,19 @@ class Workers:
         return list(self.pool.map(fn, [(k, items[i::n], *extra) for i in range(n)]))
 
 
+def _filtered(k: int, parents, fam: ForbiddenFamily):
+    """Each (bits, packed) k-vertex parent with its clean masks, filtered in
+    blocks made as they are used: BLOCK_PARENTS parents at first, so a level
+    that passes its cap early filters few parents past it, then twice as
+    many each time, up to BLOCK_CELLS masks per block."""
+    top = max(1, BLOCK_CELLS >> k)
+    lo, size = 0, min(BLOCK_PARENTS, top)
+    while lo < len(parents):
+        run = parents[lo : lo + size]
+        yield from zip(run, _clean_extensions(k, [bits for bits, _ in run], fam))
+        lo, size = lo + size, min(2 * size, top)
+
+
 def _expand_chunk(chunk, shared=None):
     """Accepted (code, packed generators) children of a run of k-vertex
     parents, given the same way, as (k, parents, pack); with pack false the
@@ -269,9 +289,8 @@ def _expand_chunk(chunk, shared=None):
     fam, cap, level_kept = shared or _shared
     shift = pair_count(k)
     children = []
-    for bits, packed in parents:
+    for (bits, packed), masks in _filtered(k, parents, fam):
         parent = Graph(k, bits)
-        masks = _clean_extensions(parent, fam)
         if not masks.size:
             continue
         with level_kept.get_lock():

@@ -296,8 +296,9 @@ def _critical_subsets(rows, k: int, fam: ForbiddenFamily):
 
 
 def clean_extensions_scalar(parent: Graph, fam: ForbiddenFamily) -> np.ndarray:
-    """search._clean_extensions, one critical subset at a time: the masks
-    that select a completing column of no critical subset."""
+    """search._clean_extensions(parent.n, [parent.bits], fam)[0], one
+    critical subset at a time: the masks that select a completing column of
+    no critical subset."""
     k = parent.n
     masks = np.arange(1 << k, dtype=np.uint32)
     for subset, completion in _critical_subsets(parent.rows(), k, fam):

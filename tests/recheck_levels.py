@@ -6,13 +6,14 @@ extensions is tested with the scalar oracle `is_forbidden` of
 tests/oracles.py (induced subsets through the new vertex, one at a time).
 Two checks ride on that one loop:
 
-- filter: the verdict agrees with the masks `_clean_extensions` keeps;
+- filter: the verdict agrees with the masks `_clean_extensions` keeps,
+  with each level's classes filtered as one block;
 - closure: the lex-min code of each clean child is a class of level k+1,
   so level 10, being empty, certifies that no clean coloring of K_10
   exists without trusting canonical augmentation.
 
-Exits 1 on any disagreement or miss.  About 20 s on one core, so it runs
-as a CI step rather than in the test suite:
+Exits 1 on any disagreement or miss.  About 14-15 s on one core of a 2-core
+host, so it runs as a CI step rather than in the test suite:
 
     PYTHONPATH=src python3 tests/recheck_levels.py
 """
@@ -34,9 +35,9 @@ def main() -> int:
     checked = disagreements = misses = 0
     for level, after in itertools.pairwise(levels(fam, 10)):
         k, shift, classes = level.k, pair_count(level.k), set(after.codes())
-        for code in level.codes():
-            parent = Graph(k, code)
-            clean = set(_clean_extensions(parent, fam).tolist())
+        codes = level.codes()
+        for code, masks in zip(codes, _clean_extensions(k, codes, fam)):
+            parent, clean = Graph(k, code), set(masks.tolist())
             for mask in range(1 << k):
                 child = Graph(k + 1, code | mask << shift)
                 forbidden = is_forbidden(child, fam, through=k)

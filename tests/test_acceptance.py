@@ -206,7 +206,7 @@ def test_criterion_10_property_suites(capsys):
         parent = Graph(k, rng.getrandbits(pair_count(k)))
         if is_forbidden(parent, fam):
             continue
-        clean = set(_clean_extensions(parent, fam).tolist())
+        clean = set(_clean_extensions(k, [parent.bits], fam)[0].tolist())
         children = (Graph(k + 1, parent.bits | m << pair_count(k)) for m in range(1 << k))
         incremental_ok = all(
             (mask in clean) != is_forbidden(child, fam)

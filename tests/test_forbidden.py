@@ -145,7 +145,7 @@ def test_incremental_agrees_with_full_check(rng):
         parent = random_graph(rng, k)
         if is_forbidden(parent, FAM):
             continue
-        clean = set(_clean_extensions(parent, FAM).tolist())
+        clean = set(_clean_extensions(k, [parent.bits], FAM)[0].tolist())
         for mask in range(1 << k):
             child = Graph(k + 1, parent.bits | mask << pair_count(k))
             assert (mask in clean) == (not is_forbidden(child, FAM)), (parent, mask)

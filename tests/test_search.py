@@ -26,7 +26,12 @@ from oracles import (
 )
 
 from champagne import catalog, search
-from champagne.forbidden import ForbiddenFamily, default_family, ramsey_family
+from champagne.forbidden import (
+    ForbiddenFamily,
+    default_family,
+    family_from_json,
+    ramsey_family,
+)
 from champagne.graphs import Graph, canonical_form, complement, pair_count, permute
 from champagne.jsonout import dumps
 from champagne.search import (
@@ -208,13 +213,13 @@ def every_child(request):
     fam = FAMILIES[name]
     parents = []
     for level in search_levels(name, n - 1):
-        shift = pair_count(level.k)
-        for parent in (Graph(level.k, code) for code in level.codes()):
+        k, codes = level.k, level.codes()
+        for code, masks in zip(codes, _clean_extensions(k, codes, fam)):
             forms = [
-                canonical_form(Graph(level.k + 1, parent.bits | mask << shift))
-                for mask in _clean_extensions(parent, fam).tolist()
+                canonical_form(Graph(k + 1, code | mask << pair_count(k)))
+                for mask in masks.tolist()
             ]
-            parents.append((parent, forms))
+            parents.append((Graph(k, code), forms))
     return request.param, fam, parents
 
 
@@ -261,8 +266,8 @@ def test_keyed_forms_on_every_r44_child():
     children = 0
     for level in search_levels("r44", 7):
         k, shift = level.k, pair_count(level.k)
-        for parent in level.graphs:
-            masks = _clean_extensions(parent, R44)
+        bits = [parent.bits for parent in level.graphs]
+        for parent, masks in zip(level.graphs, _clean_extensions(k, bits, R44)):
             columns = search._invariants(parent.rows(), masks, k).T.tolist()
             for mask, keys in zip(masks.tolist(), columns):
                 child = Graph(k + 1, parent.bits | mask << shift)
@@ -274,25 +279,64 @@ def test_keyed_forms_on_every_r44_child():
 
 @pytest.mark.parametrize("name, top", [("default", 9), ("r44", 7), ("r35", 11)])
 def test_clean_extensions_match_scalar_filter(name, top):
-    # every parent on levels 1..top of the family's search
+    # every parent on levels 1..top of the family's search, one at a time
     fam = FAMILIES[name]
     for level in search_levels(name, top):
         for parent in level.graphs:
-            masks = _clean_extensions(parent, fam)
+            [masks] = _clean_extensions(level.k, [parent.bits], fam)
             assert masks.dtype == np.uint32
             assert np.array_equal(masks, clean_extensions_scalar(parent, fam))
 
 
-def test_clean_extensions_on_large_random_parents():
-    # an 8-vertex pattern gives 128-column completion rows; the k = 14 and
-    # 15 parents have more critical 7-subsets than fit in one filter block
+@lru_cache(maxsize=None)
+def scalar_level_masks(name: str, k: int) -> list[np.ndarray]:
+    """The scalar filter's clean masks of each parent on level k."""
+    fam, level = FAMILIES[name], search_levels(name, k)[k - 1]
+    return [clean_extensions_scalar(parent, fam) for parent in level.graphs]
+
+
+@pytest.mark.parametrize("size", [1, 3, None])
+@pytest.mark.parametrize("name, k", [("default", 8), ("default", 9), ("r35", 11)])
+def test_clean_extensions_of_whole_levels_in_blocks(name, k, size):
+    # a level filtered in blocks of one, of three, or as the search blocks
+    # it (size None), each parent's masks as the scalar filter's
+    fam, level = FAMILIES[name], search_levels(name, k)[k - 1]
+    parents = [(parent.bits, b"") for parent in level.graphs]
+    if size is None:
+        filtered = list(search._filtered(k, parents, fam))
+    else:
+        runs = [parents[i : i + size] for i in range(0, len(parents), size)]
+        filtered = [
+            pair
+            for run in runs
+            for pair in zip(run, _clean_extensions(k, [bits for bits, _ in run], fam))
+        ]
+    assert [bits for (bits, _), _ in filtered] == [bits for bits, _ in parents]
+    for (_, masks), expected in zip(filtered, scalar_level_masks(name, k)):
+        assert masks.dtype == np.uint32
+        assert np.array_equal(masks, expected)
+
+
+def test_clean_extensions_on_large_random_parents(monkeypatch):
+    # an 8-vertex pattern gives 128-column completion rows.  Each parent is
+    # filtered alone, then all four of a size together as one block, which
+    # must give the same masks when its bad masks take many small scatters
     rng = random.Random(11)
     pattern = Graph(8, rng.getrandbits(pair_count(8)))
     fam = ForbiddenFamily([(pattern, "both"), (Graph.complete(6), "red")])
     for k in range(12, 16):
-        parent = Graph(k, rng.getrandbits(pair_count(k)))
-        masks = _clean_extensions(parent, fam)
-        assert np.array_equal(masks, clean_extensions_scalar(parent, fam))
+        parents = [Graph(k, rng.getrandbits(pair_count(k))) for _ in range(4)]
+        bits = [parent.bits for parent in parents]
+        together = _clean_extensions(k, bits, fam)
+        for parent, block_masks in zip(parents, together, strict=True):
+            [alone] = _clean_extensions(k, [parent.bits], fam)
+            assert np.array_equal(alone, block_masks)
+            assert np.array_equal(alone, clean_extensions_scalar(parent, fam))
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "SCATTER_ENTRIES", 1 << 8)
+            scattered = _clean_extensions(k, bits, fam)
+        assert all(map(np.array_equal, scattered, together))
+        parent, masks = parents[0], together[0]
         clean = set(masks.tolist())
         bad = sorted(set(range(1 << k)) - clean)
         assert clean and bad
@@ -300,6 +344,17 @@ def test_clean_extensions_on_large_random_parents():
         for mask in sample:
             child = Graph(k + 1, parent.bits | mask << pair_count(k))
             assert is_forbidden(child, fam, through=k) == (mask not in clean)
+
+
+def test_default_family_without_k32_is_empty_at_12():
+    # the first row of the bound ladder: the other four patterns, each in
+    # both colors, leave 3,796 classes at 9 and no clean coloring of K_12
+    names = ("K4", "K6-C5", "K6-H6", "K7-H7")
+    fam = family_from_json([{"pattern": name, "scope": "both"} for name in names])
+    report = run_search(fam, 12)
+    counts = [level["count"] for level in report["levels"]]
+    assert counts == [1, 2, 4, 9, 24, 80, 306, 1256, 3796, 1546, 38, 0]
+    assert report["verdict"] == {"kind": "empty-at-k", "k": 12}
 
 
 def test_orbit_representatives_are_the_orbit_minima():
@@ -332,7 +387,8 @@ def test_shared_kept_count_loses_no_update():
     shared = (FAM, DEFAULT_SURVIVOR_CAP, counter)
     with ProcessPoolExecutor(4, ctx, search._share, shared) as pool:
         list(pool.map(_expand_chunk, chunks, timeout=120))
-    clean = sum(len(_clean_extensions(parent, FAM)) for parent in level.graphs)
+    bits = [parent.bits for parent in level.graphs]
+    clean = sum(len(masks) for masks in _clean_extensions(8, bits, FAM))
     assert counter.value == clean == 668
 
 
@@ -421,8 +477,8 @@ def closure_misses(fam, codes) -> list[int]:
     misses = []
     for k, (parents, children) in enumerate(itertools.pairwise(codes), 1):
         children, shift = set(children), pair_count(k)
-        for code in parents:
-            for mask in _clean_extensions(Graph(k, code), fam).tolist():
+        for code, masks in zip(parents, _clean_extensions(k, parents, fam)):
+            for mask in masks.tolist():
                 child = canonical_form(Graph(k + 1, code | mask << shift)).code
                 if child not in children:
                     misses.append(child)
@@ -508,9 +564,9 @@ def test_survivor_cap_stops_the_level_early(monkeypatch):
     # the capped level must not expand every parent
     calls = []
 
-    def counting(parent, fam):
-        calls.append(parent.n)
-        return _clean_extensions(parent, fam)
+    def counting(k, bits, fam):
+        calls.extend([k] * len(bits))  # one entry per parent filtered
+        return _clean_extensions(k, bits, fam)
 
     monkeypatch.setattr(search, "_clean_extensions", counting)
     with pytest.raises(SearchCapExceeded) as err:
