@@ -1,15 +1,15 @@
 """Inertia of real symmetric matrices, exact and floating-point.
 
 The exact route takes a `SymMatrix`, integer numerators over one common
-denominator, and computes the characteristic polynomial of the numerator
-matrix in integers: power sums tr(B^k) from the sparse powers
-B^0..B^ceil(n/2), then Newton's identities with exact integer divisions.
-A symmetric matrix has only real eigenvalues, so Descartes' sign-variation
-count on the coefficients is not a bound but the exact number of positive
-roots; with the multiplicity of the zero root read off the trailing zero
-coefficients, that yields the full signature.  This avoids pivoting
-entirely, which matters because the sign-pattern matrices verified here
-have zero diagonals.
+denominator, and eliminates the numerator matrix symmetrically in exact
+integers, fraction-free as in Bareiss's method.  A nonzero diagonal entry
+is a 1x1 pivot.  When the whole remaining diagonal is zero, as it is at the
+start for the sign-pattern matrices verified here, a nonzero off-diagonal
+entry s forms a 2x2 pivot [[0, s], [s, 0]] with one eigenvalue of each
+sign.  By Sylvester's law of inertia the pivot signs give the signature, an
+all-zero remainder gives the zero eigenvalues, and the last pivot minor is
+the determinant.  `charpoly_int` (power sums, then Newton's identities) is
+on no path of the program.
 
 The floating route (`signature_of_array`, for the line geometry) takes
 numpy's symmetric eigensolver (`eigvalsh`) on an ndarray normalized to unit
@@ -155,43 +155,71 @@ def charpoly_int(b: list[list[int]]) -> list[int]:
     return c[::-1]
 
 
-def _sign_variations(coeffs) -> int:
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _quotients(rows) -> list[tuple[int, ...]]:
+    """Rows of quotients from rows of `divmod` pairs; `MatrixError` on a remainder."""
+    rows = [tuple(zip(*row)) for row in rows]
+    if any(any(remainders) for _, remainders in rows):
+        raise MatrixError("inexact division in symmetric elimination")
+    return [quotients for quotients, _ in rows]
 
 
 def _exact_invariants(m: SymMatrix) -> tuple[int, Signature]:
-    """det * denominator^n and the inertia, from one characteristic
-    polynomial of the numerators.
+    """det * denominator^n and the inertia, by fraction-free symmetric
+    elimination on the numerators B (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968).  With the index set S pivoted, `a` is the remaining block, with
+    entries det B[S+u, S+v], and `prev` is det B[S, S] (1 while S is empty),
+    so by Sylvester's identity every division is exact; each is checked.
 
-    det(numerators) is (-1)^n times the constant coefficient.  All roots are
-    real, so Descartes' count is exact; the positive common denominator
-    leaves every eigenvalue sign unchanged.
+    - 1x1 step on the first nonzero diagonal entry p = a_jj, whose pivot
+      p/prev gives one eigenvalue sign: a'_uv = (p*a_uv - a_uj*a_jv) / prev
+      and prev = p.
+    - 2x2 step (Bunch & Parlett, 1971) when the diagonal is all zero, on the
+      first nonzero s = a_ij, one eigenvalue of each sign:
+      a'_uv = s*(a_uj*a_iv + a_ui*a_jv - s*a_uv) / prev^2 and prev = -s^2/prev.
+
+    An all-zero block left over is the kernel (n_zero its size, det 0);
+    otherwise det is the last prev.  By Sylvester's law of inertia the pivot
+    signs are the signature; the positive denominator keeps them.
     """
-    if m.n == 0:
-        return 1, Signature(0, 0, 0)
-    coeffs = charpoly_int(m.numerators)
-    det = (-1) ** m.n * coeffs[0]
-    n_zero = 0
-    while coeffs[n_zero] == 0:
-        n_zero += 1
-    reduced = coeffs[n_zero:]
-    n_plus = _sign_variations(reduced)
-    n_minus = _sign_variations(
-        [c if i % 2 == 0 else -c for i, c in enumerate(reduced)]
-    )
-    if n_plus + n_minus != m.n - n_zero:
-        raise MatrixError("sign variations inconsistent with real spectrum")
-    return det, Signature(n_plus, n_zero, n_minus)
+    a, prev, n_plus, n_minus = m.numerators, 1, 0, 0
+    while a:
+        size = range(len(a))
+        j = next((k for k in size if a[k][k]), None)
+        if j is not None:
+            p, pj, keep = a[j][j], a[j], [k for k in size if k != j]
+            a = _quotients(
+                [divmod(p * row[v] - row[j] * pj[v], prev) for v in keep]
+                for row in map(a.__getitem__, keep)
+            )
+            if (p > 0) == (prev > 0):
+                n_plus += 1
+            else:
+                n_minus += 1
+            prev = p
+        else:
+            i, j = next(((u, v) for u in size for v in size if a[u][v]), (0, 0))
+            s, pi, pj, keep = a[i][j], a[i], a[j], [k for k in size if k not in (i, j)]
+            if not s:
+                return 0, Signature(n_plus, len(a), n_minus)
+            square = prev * prev
+            a = _quotients(
+                [divmod(s * (row[j] * pi[v] + row[i] * pj[v] - s * row[v]), square)
+                 for v in keep]
+                for row in map(a.__getitem__, keep)
+            )
+            prev = _quotients([[divmod(-s * s, prev)]])[0][0]
+            n_plus, n_minus = n_plus + 1, n_minus + 1
+    return prev, Signature(n_plus, 0, n_minus)
 
 
 def signature_exact(m: SymMatrix) -> Signature:
-    """Exact inertia from characteristic-coefficient sign variations."""
+    """Exact inertia by fraction-free symmetric elimination."""
     return _exact_invariants(m)[1]
 
 
 def det_exact(m: SymMatrix) -> Fraction:
-    """Determinant via the characteristic polynomial's constant term."""
+    """Exact determinant by fraction-free symmetric elimination."""
     return m.fraction(_exact_invariants(m)[0], m.n)
 
 

@@ -25,8 +25,8 @@ from champagne.signature import (
     signature_of_array,
     verify_pattern_lemma,
 )
-from oracles import (charpoly_faddeev, check_sample_by_fractions, cycle_eigenvalues,
-                     det_bareiss)
+from oracles import (_signature_by_faddeev, charpoly_faddeev, check_sample_by_fractions,
+                     cycle_eigenvalues, det_bareiss)
 
 KINDS = list(LEMMAS)
 
@@ -250,7 +250,7 @@ def test_signature_invariant_under_congruence(rng):
         assert signature_exact(SymMatrix(ptmp)) == signature_exact(m)
 
 
-def test_det_charpoly_equals_bareiss(rng):
+def test_det_exact_equals_bareiss_on_rational_matrices(rng):
     for _ in range(1000):
         n = rng.randint(1, 5)
         rows = [
@@ -269,6 +269,54 @@ def test_det_of_singular_matrix():
     assert det_exact(m) == 0
     assert det_bareiss(m) == 0
     assert signature_exact(m) == (1, 1, 0)
+
+
+def assert_elimination_matches_oracles(rows):
+    m = SymMatrix(rows)
+    got = det_exact(m), signature_exact(m)
+    assert got == (det_bareiss(m), _signature_by_faddeev(m.entries)), rows
+
+
+@pytest.mark.parametrize("zero_diagonal", [False, True], ids=["diagonal", "zero-diagonal"])
+def test_elimination_matches_oracles_on_random_matrices(rng, zero_diagonal):
+    # a zero diagonal makes the first step a 2x2 pivot
+    for _ in range(1000):
+        n = rng.randint(0, 10)
+        bound = rng.choice((1, 5, 1 << 20))
+        density = rng.choice((0.2, 0.5, 1.0))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i if zero_diagonal else i + 1):
+                if rng.random() < density:
+                    rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+        assert_elimination_matches_oracles(rows)
+
+
+def test_elimination_matches_oracles_on_shuffled_direct_sums(rng):
+    """Nonzero 1x1 blocks other than +-1, [[0, s], [s, 0]] blocks and zero
+    blocks, summed and shuffled by one symmetric permutation: 2x2 steps come
+    after 1x1 steps have left a pivot minor other than +-1, and the zero
+    blocks leave an all-zero remainder."""
+    for _ in range(1000):
+        entries = []  # (row, column, value) of the upper triangle
+        n = 0
+        for _ in range(rng.randint(1, 5)):
+            x = rng.choice((-1, 1)) * rng.randint(2, 1 << 20)
+            shape = rng.choice(("1x1", "2x2", "zero"))
+            if shape == "1x1":
+                entries.append((n, n, x))
+                n += 1
+            elif shape == "2x2":
+                entries.append((n, n + 1, x))
+                n += 2
+            else:
+                n += rng.randint(1, 2)
+        order = list(range(n))
+        rng.shuffle(order)
+        rows = [[0] * n for _ in range(n)]
+        for u, v, x in entries:
+            rows[order[u]][order[v]] = rows[order[v]][order[u]] = x
+        assert_elimination_matches_oracles(rows)
 
 
 # -- floating route ------------------------------------------------------------
@@ -403,14 +451,15 @@ def test_check_sample_accepts_valid_h7(rng):
     assert check_sample(h7_pattern_sample(rng), "h7") == []
 
 
-def test_check_sample_takes_one_characteristic_polynomial(rng, monkeypatch):
+def test_check_sample_takes_one_elimination(rng, monkeypatch):
     calls = []
+    eliminate = signature._exact_invariants
 
-    def counted(b):
-        calls.append(len(b))
-        return charpoly_int(b)
+    def counted(m):
+        calls.append(m.n)
+        return eliminate(m)
 
-    monkeypatch.setattr(signature, "charpoly_int", counted)
+    monkeypatch.setattr(signature, "_exact_invariants", counted)
     for kind, sample in (
         ("h7", h7_pattern_sample(rng)),
         ("cycle(7)", cycle_pattern_sample(7, rng)),
