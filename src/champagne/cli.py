@@ -9,6 +9,10 @@ input configuration, 2 unusable input (parse errors, bad arguments) or an
 --out path that cannot be written, 3 survivor cap exceeded.  Exit 2 is
 decided in one place, `main`: every domain error is a ValueError, and
 `jsonout.load` reports JSON nested too deeply as one.
+
+Importing this module sets OPENBLAS_NUM_THREADS=1 before numpy loads, so
+every command runs its numpy on one BLAS thread; code that imports the
+library modules directly keeps numpy's default.
 """
 
 from __future__ import annotations
@@ -19,6 +23,11 @@ import json
 import os
 import sys
 from importlib import resources
+
+# Before the first numpy import: idle OpenBLAS workers only burn CPU here,
+# and a threaded QR makes gen-lower-bound's bytes depend on the core count.
+# Only the CLI sets it; the library modules leave a host program's BLAS alone.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import catalog, geometry, signature
 from .forbidden import default_family, load_family, ramsey_family
@@ -64,13 +73,11 @@ def _probe_writable(path: str) -> None:
 
 def cmd_search(args) -> int:
     fam = _resolve_family(args.family)
-    # a search can run for minutes: refuse a bad path first
-    paths = [os.path.realpath(path) for path in (args.out, args.witnesses) if path]
-    if len(set(paths)) < len(paths):
-        raise ValueError(f"--witnesses and --out name the same file: {args.out}")
-    for path in (args.out, args.witnesses):
-        if path:
-            _probe_writable(path)
+    # a search can run for minutes: refuse a bad path first (main probed --out)
+    if args.witnesses:
+        if args.out and os.path.realpath(args.out) == os.path.realpath(args.witnesses):
+            raise ValueError(f"--witnesses and --out name the same file: {args.out}")
+        _probe_writable(args.witnesses)
     try:
         report = run_search(
             fam, args.n, jobs=args.jobs, cap=args.cap, progress=not args.quiet,
@@ -110,8 +117,6 @@ def _catalog_signature_checks():
 
 
 def cmd_verify_signatures(args) -> int:
-    if args.out:  # refuse an unwritable path before sampling
-        _probe_writable(args.out)
     lemmas = []
     for kind in signature.LEMMAS:
         lemma = signature.verify_pattern_lemma(
@@ -281,6 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:  # refuse an unwritable path before any command's work
+            _probe_writable(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:  # unusable input or --out path
         print(f"error: {exc}", file=sys.stderr)

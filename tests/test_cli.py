@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -359,6 +360,27 @@ def test_verify_signatures_checks_out_before_sampling(capsys, tmp_path, monkeypa
     assert err.splitlines()[-1].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "work, argv",
+    [
+        ("champagne.geometry.config_report",
+         ["check-lines", bundled_path("three_lines.json"), "--distances-only"]),
+        ("champagne.geometry.lower_bound_config", ["gen-lower-bound", "--dim", "3"]),
+    ],
+    ids=["check-lines", "gen-lower-bound"],
+)
+def test_commands_check_out_before_working(capsys, tmp_path, monkeypatch, work, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} called despite an unwritable --out")
+
+    monkeypatch.setattr(work, no_work)
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error:")
+
+
 def test_verify_signatures_rejects_bad_trials(capsys):
     code, _, _ = run_cli(capsys, "verify-signatures", "--trials", "0")
     assert code == 2
@@ -710,3 +732,38 @@ def test_console_entry_point_pipe():
     )
     assert check.returncode == 0
     assert json.loads(check.stdout)["valid"]
+
+
+def _cli_env(blas_threads):
+    """This environment with OPENBLAS_NUM_THREADS removed, or set to `blas_threads`."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return env
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("blas_threads", [None, "4"], ids=["unset", "4"])
+def test_cli_import_runs_numpy_on_one_thread(blas_threads):
+    # OpenBLAS starts its workers when numpy loads; the CLI must leave none
+    code = (
+        "import champagne.cli, numpy, os\n"
+        "numpy.ones((256, 256)) @ numpy.ones((256, 256))\n"
+        "print(len(os.listdir('/proc/self/task')))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=_cli_env(blas_threads),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "1"
+
+
+def test_gen_lower_bound_bytes_do_not_depend_on_blas_threads():
+    # at dim 200 the QR in geometry._unit_simplex is large enough to thread
+    digests = {
+        hashlib.sha256(subprocess.run(
+            [sys.executable, "-m", "champagne.cli", "gen-lower-bound", "--dim", "200"],
+            env=_cli_env(blas_threads), capture_output=True, check=True,
+        ).stdout).hexdigest()
+        for blas_threads in (None, "1", "2")
+    }
+    assert len(digests) == 1
