@@ -155,7 +155,7 @@ def cmd_verify_signatures(args) -> int:
 def cmd_check_lines(args) -> int:
     cfg = geometry.load_config(sys.stdin if args.config == "-" else args.config)
     if args.tol is not None:
-        cfg = geometry.LineConfig(cfg.dim, cfg.lines, args.tol)
+        cfg = geometry.LineConfig(cfg.dim, cfg.bases, cfg.directions, args.tol)
     if args.distances_only:
         report = geometry.config_report(cfg)
         _emit(

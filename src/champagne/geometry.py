@@ -1,6 +1,7 @@
-"""Directed lines in R^d: distances, chirality, and realization checks.
+"""Lines in R^d: distances, chirality, and realization checks.
 
-A directed line is a base point plus a unit direction.  The distance
+A configuration of n directed lines y_i + R x_i is two n x d arrays, the
+bases y_i and the unit directions x_i, validated together.  The distance
 between two non-parallel lines is the norm of the base offset projected
 onto the orthogonal complement of the two directions (the common
 perpendicular); for parallel lines it is the point-to-line distance.
@@ -49,88 +50,53 @@ class InvalidConfigError(GeometryError):
 _NUMBER_TYPES = frozenset((int, float))  # JSON numbers; bool is not one
 
 
-@dataclass(frozen=True)
-class DirectedLine:
-    """Line base + R * direction, with a unit direction vector."""
-
-    base: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        base = np.asarray(self.base, dtype=float)
-        direction = np.asarray(self.direction, dtype=float)
-        if base.ndim != 1 or direction.shape != base.shape:
-            raise GeometryError("base and direction must be equal-length vectors")
-        if base.size < 2:
-            raise GeometryError("lines live in dimension >= 2")
-        if not (np.isfinite(base).all() and np.isfinite(direction).all()):
-            raise GeometryError("base and direction must be finite")
-        if abs(np.linalg.norm(direction) - 1.0) > UNIT_TOL:
-            raise GeometryError(
-                f"direction norm {np.linalg.norm(direction)} not unit within {UNIT_TOL}"
-            )
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "direction", direction)
-
-    @property
-    def dim(self) -> int:
-        return self.base.size
-
-    def reversed(self) -> "DirectedLine":
-        return DirectedLine(self.base, -self.direction)
-
-    def to_json_obj(self) -> dict:
-        return {"base": self.base.tolist(), "dir": self.direction.tolist()}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "DirectedLine":
-        if not isinstance(obj, dict) or not all(
-            isinstance(obj.get(key), list)
-            and _NUMBER_TYPES.issuperset(map(type, obj[key]))
-            for key in ("base", "dir")
-        ):
-            raise GeometryError("line JSON needs 'base' and 'dir' lists of numbers")
-        try:
-            base = np.array(obj["base"], dtype=float)
-            direction = np.array(obj["dir"], dtype=float)
-        except OverflowError:  # an int beyond float64
-            raise GeometryError("base and direction must be finite") from None
-        return cls(base, direction)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineConfig:
+    """Line i is bases[i] + R * directions[i]; both arrays are n x dim."""
+
     dim: int
-    lines: tuple[DirectedLine, ...]
+    bases: np.ndarray
+    directions: np.ndarray
     tolerance: float = DISTANCE_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(self.lines))
         if self.dim < 2:
             raise GeometryError(f"lines live in dimension >= 2, got {self.dim}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise GeometryError(
                 f"tolerance must be finite and positive, got {self.tolerance}"
             )
-        for line in self.lines:
-            if line.dim != self.dim:
-                raise GeometryError(
-                    f"line of dimension {line.dim} in a dimension-{self.dim} config"
-                )
+        bases = np.asarray(self.bases, dtype=float)
+        directions = np.asarray(self.directions, dtype=float)
+        if bases.shape[1:] != (self.dim,) or directions.shape != bases.shape:
+            raise GeometryError(f"bases and directions must be n x {self.dim} arrays")
+        if not (np.isfinite(bases).all() and np.isfinite(directions).all()):
+            raise GeometryError("base and direction must be finite")
+        with np.errstate(over="ignore"):  # a huge direction's norm is inf
+            norms = np.linalg.norm(directions, axis=1)
+        off = np.abs(norms - 1.0) > UNIT_TOL
+        if off.any():
+            norm = norms[off][0]
+            raise GeometryError(f"direction norm {norm} not unit within {UNIT_TOL}")
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "directions", directions)
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.bases)
 
     def reverse_line(self, index: int) -> "LineConfig":
-        lines = list(self.lines)
-        lines[index] = lines[index].reversed()
-        return LineConfig(self.dim, tuple(lines), self.tolerance)
+        directions = self.directions.copy()
+        directions[index] = -directions[index]
+        return LineConfig(self.dim, self.bases, directions, self.tolerance)
 
     def to_json_obj(self) -> dict:
         return {
             "dim": self.dim,
             "tolerance": self.tolerance,
-            "lines": [line.to_json_obj() for line in self.lines],
+            "lines": [
+                {"base": y, "dir": x}
+                for y, x in zip(self.bases.tolist(), self.directions.tolist())
+            ],
         }
 
     @classmethod
@@ -140,22 +106,39 @@ class LineConfig:
         dim, lines = obj["dim"], obj["lines"]
         tolerance = obj.get("tolerance", DISTANCE_TOL)
         if not (
-            type(dim) is int
+            type(dim) is int and dim >= 2
             and isinstance(lines, list)
             and type(tolerance) in _NUMBER_TYPES
         ):
             raise GeometryError(
-                "config 'dim' must be an integer, 'lines' a list, 'tolerance' a number"
+                "config 'dim' must be an integer >= 2, 'lines' a list, "
+                "'tolerance' a number"
             )
+        for line in lines:
+            if not isinstance(line, dict) or not all(
+                isinstance(line.get(key), list)
+                and _NUMBER_TYPES.issuperset(map(type, line[key]))
+                for key in ("base", "dir")
+            ):
+                raise GeometryError("line JSON needs 'base' and 'dir' lists of numbers")
+            if len(line["base"]) != len(line["dir"]):
+                raise GeometryError("base and direction must be equal-length vectors")
+            if len(line["base"]) != dim:
+                raise GeometryError(
+                    f"line of dimension {len(line['base'])} in a dimension-{dim} config"
+                )
         try:
             tolerance = float(tolerance)
         except OverflowError:  # an int beyond float64
             raise GeometryError("tolerance must be finite and positive") from None
-        return cls(
-            dim,
-            tuple(DirectedLine.from_json_obj(entry) for entry in lines),
-            tolerance,
-        )
+        try:
+            bases, directions = (
+                np.array([line[key] for line in lines], dtype=float).reshape(-1, dim)
+                for key in ("base", "dir")
+            )
+        except OverflowError:  # an int beyond float64
+            raise GeometryError("base and direction must be finite") from None
+        return cls(dim, bases, directions, tolerance)
 
 
 def load_config(path_or_stream) -> LineConfig:
@@ -189,13 +172,13 @@ def _pair_row(y, x, ys, xs):
     return distance, parallel, volume
 
 
-def are_parallel(a: DirectedLine, b: DirectedLine) -> bool:
-    return config_report(LineConfig(a.dim, (a, b))).has_parallel
+def are_parallel(pair: LineConfig) -> bool:
+    return config_report(pair).has_parallel
 
 
-def line_distance(a: DirectedLine, b: DirectedLine) -> float:
-    """Minimal distance between the two lines, any dimension."""
-    return config_report(LineConfig(a.dim, (a, b))).pairs[0]["distance"]
+def line_distance(pair: LineConfig) -> float:
+    """Minimal distance between the two lines of `pair`, any dimension."""
+    return config_report(pair).pairs[0]["distance"]
 
 
 @dataclass(eq=False)
@@ -247,9 +230,7 @@ def config_report(cfg: LineConfig) -> ConfigReport:
     Validity requires every pairwise distance within tolerance of 1 and no
     parallel pair.
     """
-    n = len(cfg)
-    ys = np.array([ln.base for ln in cfg.lines])
-    xs = np.array([ln.direction for ln in cfg.lines])
+    n, ys, xs = len(cfg), cfg.bases, cfg.directions
     vs, ws = np.triu_indices(n, 1)
     distance, parallel = np.zeros(vs.size), np.zeros(vs.size, dtype=bool)
     volume = np.zeros(vs.size) if cfg.dim == 3 else None
@@ -409,13 +390,11 @@ def lower_bound_config(n: int) -> LineConfig:
             f"the construction needs dimension 3 <= n <= {MAX_LOWER_BOUND_DIM}, got {n}"
         )
     m = n - 1
-    simplex = _unit_simplex(m)
-    lines = []
-    for i in range(m):
-        theta = i * math.pi / m
-        direction = np.concatenate([np.zeros(n - 2), [math.cos(theta), math.sin(theta)]])
-        normal = np.concatenate([np.zeros(n - 2), [-math.sin(theta), math.cos(theta)]])
-        anchor = np.concatenate([simplex[i], [0.0, 0.0]])
-        lines.append(DirectedLine(anchor, direction))
-        lines.append(DirectedLine(anchor + normal, direction))
-    return LineConfig(n, tuple(lines))
+    frames = np.zeros((m, 2, n))  # (direction, normal) over vertex i
+    for i, frame in enumerate(frames):
+        c, s = math.cos(i * math.pi / m), math.sin(i * math.pi / m)
+        frame[:, -2:] = [[c, s], [-s, c]]
+    bases = np.zeros((m, 2, n))
+    bases[:, :, :-2] = _unit_simplex(m)[:, None]
+    bases[:, 1] += frames[:, 1]  # anchor + normal, every coordinate
+    return LineConfig(n, bases.reshape(2 * m, n), frames[:, [0, 0]].reshape(2 * m, n))

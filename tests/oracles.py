@@ -8,7 +8,8 @@ scalar forbidden-pattern check) instead of the search's prefix tables,
 Gaussian elimination instead of the characteristic polynomial, dense
 Faddeev-LeVerrier instead of sparse power sums, per-entry Fractions
 instead of integer numerators over one denominator, a loop over the bit
-slots instead of one string reversal.
+slots instead of one string reversal, the lower-bound lines built one at
+a time instead of as two arrays.
 `validate_level` checks the invariants of one search level, and
 `assert_keyed_form` those of one keyed canonical form.  They are capped to
 small inputs and no CLI command runs them.
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from champagne.forbidden import ForbiddenFamily
-from champagne.geometry import DirectedLine, GeometryError, LineConfig
+from champagne.geometry import GeometryError, LineConfig, _unit_simplex
 from champagne.graphs import (CanonicalForm, Graph, GraphError, canonical_form,
                               induced_code, pair_count, pair_slot, permute)
 from champagne.search import FeasibleLevel
@@ -533,10 +534,26 @@ def rigid_transform(cfg: LineConfig, matrix, shift=None) -> LineConfig:
     if not np.allclose(matrix.T @ matrix, np.eye(cfg.dim), atol=1e-12):
         raise GeometryError("transform matrix is not orthogonal")
     shift = np.zeros(cfg.dim) if shift is None else np.asarray(shift, dtype=float)
-    lines = []
-    for ln in cfg.lines:
-        direction = matrix @ ln.direction  # unit up to rounding; renormalized
-        lines.append(
-            DirectedLine(matrix @ ln.base + shift, direction / np.linalg.norm(direction))
-        )
-    return LineConfig(cfg.dim, tuple(lines), cfg.tolerance)
+    bases, directions = [], []
+    for base, direction in zip(cfg.bases, cfg.directions):
+        direction = matrix @ direction  # unit up to rounding; renormalized
+        bases.append(matrix @ base + shift)
+        directions.append(direction / np.linalg.norm(direction))
+    return LineConfig(cfg.dim, bases, directions, cfg.tolerance)
+
+
+def lower_bound_lines(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bases and directions of `lower_bound_config(n)`, one line at a
+    time: each vector concatenated from zeros and the planar cos/sin pair,
+    and the second base the padded simplex vertex plus the planar normal."""
+    m = n - 1
+    simplex = _unit_simplex(m)
+    bases, directions = [], []
+    for i in range(m):
+        theta = i * math.pi / m
+        direction = np.concatenate([np.zeros(n - 2), [math.cos(theta), math.sin(theta)]])
+        normal = np.concatenate([np.zeros(n - 2), [-math.sin(theta), math.cos(theta)]])
+        anchor = np.concatenate([simplex[i], [0.0, 0.0]])
+        bases += [anchor, anchor + normal]
+        directions += [direction, direction]
+    return np.array(bases), np.array(directions)

@@ -164,11 +164,8 @@ def test_criterion_09_lower_bound_generator(capsys, monkeypatch):
         code = cli.main(["gen-lower-bound", "--dim", str(n)])
         monkeypatch.undo()
         cfg = geometry.LineConfig.from_json_obj(json.loads(buffer.getvalue()))
-        worst = max(
-            abs(geometry.line_distance(cfg.lines[i], cfg.lines[j]) - 1.0)
-            for i in range(len(cfg))
-            for j in range(i + 1, len(cfg))
-        )
+        pairs = geometry.config_report(cfg).pairs
+        worst = max(abs(pair["distance"] - 1.0) for pair in pairs)
         detail.append(f"n={n}:{worst:.1e}")
         if code != 0 or len(cfg) != 2 * n - 2 or worst > 1e-12:
             ok = False

@@ -503,20 +503,23 @@ def test_check_lines_rejects_bad_tolerance(capsys, tmp_path):
         {"dim": 3, "lines": [{"base": [10**400, 0, 0], "dir": [1, 0, 0]}]},
         {"dim": 3, "lines": [{"base": [0, 0, 0], "dir": [10**400, 0, 0]}]},
         {"dim": 3, "lines": [], "tolerance": 10**400},
+        # finite, but its norm overflows float64
+        {"dim": 3, "lines": [{"base": [0, 0, 0], "dir": [1e200, 0, 0]}]},
     ],
     ids=[
         "lines-not-a-list", "tolerance-null", "dim-1", "dim-not-integer",
-        "base-huge-int", "dir-huge-int", "tolerance-huge-int",
+        "base-huge-int", "dir-huge-int", "tolerance-huge-int", "dir-norm-overflows",
     ],
 )
-def test_check_lines_rejects_malformed_config(capsys, monkeypatch, config):
+def test_check_lines_rejects_malformed_config(capsys, monkeypatch, recwarn, config):
     import io
 
     for extra in ([], ["--distances-only"]):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
         code, out, err = run_cli(capsys, "check-lines", "-", *extra)
         assert code == 2 and out == "" and err.startswith("error: ")
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_check_lines_parse_error(capsys, monkeypatch, tmp_path):

@@ -7,8 +7,8 @@ import pytest
 
 from champagne import cli
 from champagne.geometry import (
+    DISTANCE_TOL,
     DegeneratePairError,
-    DirectedLine,
     GeometryError,
     InvalidConfigError,
     LineConfig,
@@ -24,40 +24,66 @@ from champagne.geometry import (
 )
 from champagne.graphs import Graph, complement, pair_slot, switch
 from champagne.jsonout import dumps
-from oracles import rigid_transform
+from oracles import lower_bound_lines, rigid_transform
 
-X_AXIS = DirectedLine(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-L2 = DirectedLine(np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
-L3 = DirectedLine(np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-THREE = LineConfig(3, (X_AXIS, L2, L3))
+# a line is a (base, direction) pair of arrays; `config` stacks them
+X_AXIS = (np.zeros(3), np.array([1.0, 0.0, 0.0]))
+L2 = (np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
+L3 = (np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+
+
+def config(*lines, tolerance=DISTANCE_TOL):
+    bases, directions = zip(*lines)
+    return LineConfig(len(bases[0]), bases, directions, tolerance)
+
+
+THREE = config(X_AXIS, L2, L3)
 
 
 def random_line(rng, dim=3):
     base, direction = rng.normal(size=dim), rng.normal(size=dim)
-    return DirectedLine(base, direction / np.linalg.norm(direction))
+    return base, direction / np.linalg.norm(direction)
 
 
 def closest_approach(a, b):
     """Independent distance oracle: solve the two-parameter least squares."""
-    g = np.array(
-        [
-            [a.direction @ a.direction, -(a.direction @ b.direction)],
-            [-(a.direction @ b.direction), b.direction @ b.direction],
-        ]
-    )
-    rhs = np.array([-(a.base - b.base) @ a.direction, (a.base - b.base) @ b.direction])
+    (ya, xa), (yb, xb) = a, b
+    g = np.array([[xa @ xa, -(xa @ xb)], [-(xa @ xb), xb @ xb]])
+    rhs = np.array([-(ya - yb) @ xa, (ya - yb) @ xb])
     t, s = np.linalg.lstsq(g, rhs, rcond=None)[0]
-    return float(np.linalg.norm(a.base + t * a.direction - b.base - s * b.direction))
+    return float(np.linalg.norm(ya + t * xa - yb - s * xb))
 
 
 def test_directed_line_validation():
-    with pytest.raises(GeometryError):
-        DirectedLine(np.zeros(3), np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(GeometryError):
-        DirectedLine(np.zeros(2), np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(GeometryError):
-        DirectedLine(np.zeros(1), np.ones(1))
-    assert np.allclose(X_AXIS.reversed().direction, [-1, 0, 0])
+    for dim, bases, directions in (
+        (3, [[0.0, 0.0, 0.0]], [[1.0, 1.0, 0.0]]),  # not unit
+        (3, [[0.0, 0.0]], [[1.0, 0.0, 0.0]]),  # base and direction lengths differ
+        (3, [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),  # counts differ
+        (4, [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]),  # a 3-d line in R^4
+        (3, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),  # one line, not an n x 3 array
+        (1, [[0.0]], [[1.0]]),  # dim < 2
+    ):
+        with pytest.raises(GeometryError):
+            LineConfig(dim, bases, directions)
+    flipped = THREE.reverse_line(0)
+    assert np.array_equal(flipped.directions[0], [-1.0, 0.0, 0.0])
+    assert np.array_equal(flipped.directions[1:], THREE.directions[1:])
+    assert np.array_equal(flipped.bases, THREE.bases)
+    assert np.array_equal(THREE.directions[0], [1.0, 0.0, 0.0])  # left as it was
+
+
+def test_config_holds_two_arrays():
+    assert THREE.bases.shape == THREE.directions.shape == (3, 3)
+    assert THREE.bases.dtype == THREE.directions.dtype == np.float64
+    empty = LineConfig(5, np.zeros((0, 5)), np.zeros((0, 5)))
+    assert len(empty) == 0 and empty.to_json_obj()["lines"] == []
+    assert LineConfig.from_json_obj({"dim": 5, "lines": []}).bases.shape == (0, 5)
+
+
+def test_config_reports_the_first_non_unit_direction():
+    directions = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
+    with pytest.raises(GeometryError, match=r"direction norm 2\.0 not unit within 1e-12"):
+        LineConfig(3, np.zeros((3, 3)), directions)
 
 
 @pytest.mark.parametrize(
@@ -70,16 +96,16 @@ def test_directed_line_validation():
     ],
 )
 def test_directed_line_rejects_non_finite(base, direction):
-    with pytest.raises(GeometryError):
-        DirectedLine(np.array(base), np.array(direction))
-    with pytest.raises(GeometryError):
-        DirectedLine.from_json_obj({"base": base, "dir": direction})
+    with pytest.raises(GeometryError, match="finite"):
+        LineConfig(3, [base], [direction])
+    with pytest.raises(GeometryError, match="finite"):
+        LineConfig.from_json_obj({"dim": 3, "lines": [{"base": base, "dir": direction}]})
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_config_rejects_bad_tolerance(tol):
     with pytest.raises(GeometryError):
-        LineConfig(3, (X_AXIS, L2), tol)
+        config(X_AXIS, L2, tolerance=tol)
     with pytest.raises(GeometryError):
         LineConfig.from_json_obj({**THREE.to_json_obj(), "tolerance": tol})
 
@@ -87,15 +113,15 @@ def test_config_rejects_bad_tolerance(tol):
 def scalar_pair(a, b):
     """Reference loop body: distance, parallel flag and R^3 volume of one
     pair by the residue-vector formula, one pair at a time."""
-    dy = a.base - b.base
-    u = a.direction
-    w = b.direction - np.dot(u, b.direction) * u
+    (ya, u), (yb, xb) = a, b
+    dy = ya - yb
+    w = xb - np.dot(u, xb) * u
     parallel = bool(np.linalg.norm(w) <= 1e-12)
     residue = dy - np.dot(dy, u) * u
     if not parallel:
         w /= np.linalg.norm(w)
         residue = residue - np.dot(dy, w) * w
-    volume = float(np.dot(np.cross(u, b.direction), dy)) if a.dim == 3 else None
+    volume = float(np.dot(np.cross(u, xb), dy)) if u.size == 3 else None
     return float(np.linalg.norm(residue)), parallel, volume
 
 
@@ -104,16 +130,15 @@ def test_all_pairs_match_scalar_loop(dim):
     rng = np.random.default_rng(dim)
     for _ in range(20):
         lines = [random_line(rng, dim) for _ in range(int(rng.integers(2, 9)))]
-        lines.append(DirectedLine(lines[0].base + rng.normal(size=dim), lines[0].direction))
-        cfg = LineConfig(dim, tuple(lines))
+        lines.append((lines[0][0] + rng.normal(size=dim), lines[0][1]))
+        cfg = config(*lines)
         report = config_report(cfg)
         for pair in report.pairs:
             # plain Python scalars, never numpy ones (json cannot write np.int64)
             scalars = [pair[k] for k in ("v", "w", "distance", "parallel", "coplanar")]
             assert list(map(type, scalars)) == [int, int, float, bool, bool]
             assert pair["chirality"] is None or type(pair["chirality"]) is int
-            a, b = cfg.lines[pair["v"]], cfg.lines[pair["w"]]
-            distance, parallel, volume = scalar_pair(a, b)
+            distance, parallel, volume = scalar_pair(lines[pair["v"]], lines[pair["w"]])
             assert pair["distance"] == pytest.approx(distance, abs=1e-12)
             assert pair["parallel"] == parallel
             flat = abs(volume if dim == 3 else distance) <= 1e-12
@@ -124,7 +149,7 @@ def test_all_pairs_match_scalar_loop(dim):
                 assert pair["chirality"] is None
         assert report.has_parallel
         if dim == 3:
-            matrix = t_matrix(LineConfig(3, tuple(lines[:-1])))
+            matrix = t_matrix(config(*lines[:-1]))
             for v in range(len(lines) - 1):
                 for w in range(len(lines) - 1):
                     expected = 0.0 if v == w else scalar_pair(lines[v], lines[w])[2]
@@ -132,14 +157,12 @@ def test_all_pairs_match_scalar_loop(dim):
 
 
 def test_line_distance_examples():
-    assert line_distance(X_AXIS, L2) == pytest.approx(1.0, abs=1e-15)
-    assert line_distance(X_AXIS, L3) == pytest.approx(1.0, abs=1e-15)
-    assert line_distance(L2, L3) == pytest.approx(1.0, abs=1e-15)
-    offset_parallel = DirectedLine(np.array([5.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    assert line_distance(X_AXIS, offset_parallel) == pytest.approx(1.0, abs=1e-15)
-    assert line_distance(X_AXIS, X_AXIS) == 0.0
-    with pytest.raises(GeometryError):
-        line_distance(X_AXIS, DirectedLine(np.zeros(4), np.array([1.0, 0, 0, 0])))
+    assert line_distance(config(X_AXIS, L2)) == pytest.approx(1.0, abs=1e-15)
+    assert line_distance(config(X_AXIS, L3)) == pytest.approx(1.0, abs=1e-15)
+    assert line_distance(config(L2, L3)) == pytest.approx(1.0, abs=1e-15)
+    offset_parallel = (np.array([5.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    assert line_distance(config(X_AXIS, offset_parallel)) == pytest.approx(1.0, abs=1e-15)
+    assert line_distance(config(X_AXIS, X_AXIS)) == 0.0
 
 
 def test_line_distance_matches_least_squares_oracle():
@@ -147,14 +170,16 @@ def test_line_distance_matches_least_squares_oracle():
     for _ in range(300):
         dim = int(rng.integers(2, 7))
         a, b = random_line(rng, dim), random_line(rng, dim)
-        if are_parallel(a, b):
+        if are_parallel(config(a, b)):
             continue
-        assert line_distance(a, b) == pytest.approx(closest_approach(a, b), abs=1e-9)
+        assert line_distance(config(a, b)) == pytest.approx(
+            closest_approach(a, b), abs=1e-9
+        )
 
 
 def test_intersecting_lines_have_distance_zero():
-    crossing = DirectedLine(np.zeros(3), np.array([0.0, 1.0, 0.0]))
-    assert line_distance(X_AXIS, crossing) == pytest.approx(0.0, abs=1e-15)
+    crossing = (np.zeros(3), np.array([0.0, 1.0, 0.0]))
+    assert line_distance(config(X_AXIS, crossing)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_chirality_example_and_symmetries():
@@ -164,31 +189,28 @@ def test_chirality_example_and_symmetries():
     seen = 0
     while seen < 200:
         a, b = random_line(rng), random_line(rng)
-        sign = config_report(LineConfig(3, (a, b))).pairs[0]["chirality"]
+        pair = config(a, b)
+        sign = config_report(pair).pairs[0]["chirality"]
         if sign is None:
             continue
         seen += 1
         assert sign in (1, -1)
-        for first, second, expected in (
-            (b, a, sign),
-            (a.reversed(), b, -sign),
-            (a, b.reversed(), -sign),
+        for other, expected in (
+            (config(b, a), sign),
+            (pair.reverse_line(0), -sign),
+            (pair.reverse_line(1), -sign),
         ):
-            pair = config_report(LineConfig(3, (first, second))).pairs[0]
-            assert pair["chirality"] == expected
+            assert config_report(other).pairs[0]["chirality"] == expected
 
 
 def test_chirality_degeneracies():
-    parallel = DirectedLine(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    crossing = DirectedLine(np.zeros(3), np.array([0.0, 1.0, 0.0]))
+    parallel = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    crossing = (np.zeros(3), np.array([0.0, 1.0, 0.0]))
     for other, is_parallel in ((parallel, True), (crossing, False)):
-        pair = config_report(LineConfig(3, (X_AXIS, other))).pairs[0]
+        pair = config_report(config(X_AXIS, other)).pairs[0]
         assert pair["coplanar"] and pair["parallel"] == is_parallel
         assert pair["chirality"] is None
-    skew_4d = LineConfig(4, (
-        DirectedLine(np.zeros(4), np.array([1.0, 0, 0, 0])),
-        DirectedLine(np.array([0.0, 0, 1, 0]), np.array([0.0, 1, 0, 0])),
-    ))
+    skew_4d = LineConfig(4, [[0.0, 0, 0, 0], [0.0, 0, 1, 0]], [[1.0, 0, 0, 0], [0.0, 1, 0, 0]])
     assert config_report(skew_4d).pairs[0]["chirality"] is None
 
 
@@ -209,14 +231,7 @@ def test_reversing_a_line_switches_the_graph():
 
 
 def test_parallel_pair_is_flagged():
-    cfg = LineConfig(
-        3,
-        (
-            X_AXIS,
-            DirectedLine(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])),
-            L2,
-        ),
-    )
+    cfg = config(X_AXIS, (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])), L2)
     graph, report = chirality_graph(cfg)
     assert report.has_parallel and not report.valid
     flagged = [p for p in report.pairs if p["parallel"]]
@@ -253,8 +268,7 @@ def test_rigid_transform_requires_orthogonal():
 def gram_residual(cfg, matrix):
     """Max deviation of the orientation matrix from the split-form Gram
     product of the 6-vectors (y_v cross x_v, x_v)."""
-    q = np.array([np.cross(ln.base, ln.direction) for ln in cfg.lines])
-    x = np.array([ln.direction for ln in cfg.lines])
+    q, x = np.cross(cfg.bases, cfg.directions), cfg.directions
     return float(np.abs(matrix - (q @ x.T + x @ q.T)).max())
 
 
@@ -265,7 +279,7 @@ def test_t_matrix_gram_identity():
     assert gram_residual(THREE, matrix) <= 1e-12
     for v in range(3):
         for w in range(v + 1, 3):
-            cross = np.cross(THREE.lines[v].direction, THREE.lines[w].direction)
+            cross = np.cross(THREE.directions[v], THREE.directions[w])
             assert abs(matrix[v, w]) == pytest.approx(
                 float(np.linalg.norm(cross)), abs=1e-12
             )
@@ -274,8 +288,7 @@ def test_t_matrix_gram_identity():
 def test_t_matrix_gram_identity_random_configs():
     rng = np.random.default_rng(21)
     for _ in range(50):
-        lines = tuple(random_line(rng) for _ in range(4))
-        cfg = LineConfig(3, lines)
+        cfg = config(*(random_line(rng) for _ in range(4)))
         try:
             matrix = t_matrix(cfg)
         except DegeneratePairError:
@@ -284,9 +297,7 @@ def test_t_matrix_gram_identity_random_configs():
 
 
 def test_t_matrix_rejects_parallel():
-    cfg = LineConfig(
-        3, (X_AXIS, DirectedLine(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])))
-    )
+    cfg = config(X_AXIS, (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])))
     with pytest.raises(DegeneratePairError):
         t_matrix(cfg)
 
@@ -302,37 +313,29 @@ def test_check_realization_bundled_config():
 
 
 def test_check_realization_two_skew_lines():
-    report = check_realization(config_report(LineConfig(3, (X_AXIS, L2))))
+    report = check_realization(config_report(config(X_AXIS, L2)))
     assert report["passed"]
     assert report["properties"]["abs_matrix_signature"]["signature"] == [1, 0, 1]
 
 
 def test_check_realization_rejects_wrong_distance():
-    stretched = LineConfig(
-        3, (X_AXIS, DirectedLine(np.array([0.0, 0.0, 2.0]), np.array([0.0, 1.0, 0.0])))
-    )
+    stretched = config(X_AXIS, (np.array([0.0, 0.0, 2.0]), np.array([0.0, 1.0, 0.0])))
     with pytest.raises(InvalidConfigError):
         check_realization(config_report(stretched))
 
 
 def test_check_realization_preconditions():
     with pytest.raises(GeometryError):
-        check_realization(config_report(LineConfig(3, (X_AXIS,))))
-    four_d = LineConfig(
-        4,
-        (
-            DirectedLine(np.zeros(4), np.array([1.0, 0, 0, 0])),
-            DirectedLine(np.array([0.0, 0, 0, 1]), np.array([0.0, 1, 0, 0])),
-        ),
-    )
+        check_realization(config_report(config(X_AXIS)))
+    four_d = LineConfig(4, [[0.0, 0, 0, 0], [0.0, 0, 0, 1]], [[1.0, 0, 0, 0], [0.0, 1, 0, 0]])
     with pytest.raises(GeometryError) as refused:
         check_realization(config_report(four_d))
     assert refused.type is GeometryError
 
 
 def test_check_realization_refuses_parallel_pair_at_unit_distance():
-    parallel = DirectedLine(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    report = config_report(LineConfig(3, (X_AXIS, parallel, L3)))
+    parallel = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    report = config_report(config(X_AXIS, parallel, L3))
     assert report.distances_ok
     with pytest.raises(DegeneratePairError, match="lines 0 and 1 are parallel"):
         check_realization(report)
@@ -340,9 +343,9 @@ def test_check_realization_refuses_parallel_pair_at_unit_distance():
 
 def test_check_realization_refuses_stray_distance_before_parallel_pair():
     # pair (0, 1) is parallel at distance 1 and comes first; (0, 2) is at 5
-    parallel = DirectedLine(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-    far = DirectedLine(np.array([0.0, 0.0, 5.0]), np.array([0.0, 1.0, 0.0]))
-    report = config_report(LineConfig(3, (X_AXIS, parallel, far)))
+    parallel = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    far = (np.array([0.0, 0.0, 5.0]), np.array([0.0, 1.0, 0.0]))
+    report = config_report(config(X_AXIS, parallel, far))
     with pytest.raises(InvalidConfigError, match="lines 0 and 2 at distance 5.0"):
         check_realization(report)
 
@@ -352,11 +355,12 @@ def test_check_realization_near_coplanar_pairs():
     # not parallel, but their volumes against line 0 are -9e-13, inside
     # the coplanarity tolerance, so those pairs have no chirality
     turn = 1.5e-12
-    near = LineConfig(3, (
+    near = config(
         X_AXIS,
-        DirectedLine(np.array([0.0, 0.6, 0.0]), np.array([1.0, 0.0, -turn])),
-        DirectedLine(np.array([0.0, 0.0, 0.6]), np.array([1.0, turn, 0.0])),
-    ), tolerance=0.5)
+        (np.array([0.0, 0.6, 0.0]), np.array([1.0, 0.0, -turn])),
+        (np.array([0.0, 0.0, 0.6]), np.array([1.0, turn, 0.0])),
+        tolerance=0.5,
+    )
     report = check_realization(config_report(near))
     nonzero = report["properties"]["offdiagonal_nonzero"]
     assert not nonzero["passed"]
@@ -383,18 +387,20 @@ def test_lower_bound_config(n):
     cfg = lower_bound_config(n)
     assert cfg.dim == n
     assert len(cfg) == 2 * n - 2
-    worst = max(
-        abs(line_distance(cfg.lines[i], cfg.lines[j]) - 1.0)
-        for i in range(len(cfg))
-        for j in range(i + 1, len(cfg))
-    )
-    assert worst <= 1e-12
-    for i in range(n - 1):
-        assert are_parallel(cfg.lines[2 * i], cfg.lines[2 * i + 1])
-    for a in range(len(cfg)):
-        for b in range(a + 1, len(cfg)):
-            if a // 2 != b // 2:
-                assert not are_parallel(cfg.lines[a], cfg.lines[b])
+    report = config_report(cfg)
+    assert max(abs(p["distance"] - 1.0) for p in report.pairs) <= 1e-12
+    # exactly the two lines over one simplex vertex are parallel
+    parallel = [(p["v"], p["w"]) for p in report.flagged(report.parallel)]
+    assert parallel == [(2 * i, 2 * i + 1) for i in range(n - 1)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 60, 200, 512])
+def test_lower_bound_config_keeps_every_bit(n):
+    # against the line-at-a-time construction, signed zeros included
+    cfg = lower_bound_config(n)
+    bases, directions = lower_bound_lines(n)
+    assert cfg.bases.tobytes() == bases.tobytes()
+    assert cfg.directions.tobytes() == directions.tobytes()
 
 
 def test_lower_bound_config_rejects_small_dim():
@@ -412,9 +418,8 @@ def test_config_json_round_trip(tmp_path):
     obj = THREE.to_json_obj()
     again = LineConfig.from_json_obj(json.loads(json.dumps(obj)))
     assert again.dim == 3 and len(again) == 3
-    for mine, theirs in zip(THREE.lines, again.lines):
-        assert np.array_equal(mine.base, theirs.base)
-        assert np.array_equal(mine.direction, theirs.direction)
+    assert np.array_equal(again.bases, THREE.bases)
+    assert np.array_equal(again.directions, THREE.directions)
 
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(obj))
@@ -425,14 +430,17 @@ def test_config_json_round_trip(tmp_path):
 
 def test_config_validation():
     with pytest.raises(GeometryError):
-        LineConfig(4, (X_AXIS,))
-    with pytest.raises(GeometryError):
         LineConfig.from_json_obj({"dim": 3})
-    with pytest.raises(GeometryError):
-        DirectedLine.from_json_obj({"base": [0, 0, 0]})
-    for line in (
-        {"base": {"x": 0}, "dir": [1, 0, 0]},
-        {"base": [0, 0, 0], "dir": [True, False, False]},
+    for line, message in (
+        ({"base": [0, 0, 0]}, "lists of numbers"),
+        ({"base": {"x": 0}, "dir": [1, 0, 0]}, "lists of numbers"),
+        ({"base": [0, 0, 0], "dir": [True, False, False]}, "lists of numbers"),
+        ("not a line", "lists of numbers"),
+        ({"base": [0, 0], "dir": [1, 0, 0]}, "equal-length"),
+        ({"base": [0, 0, 0, 0], "dir": [1, 0, 0, 0]}, "line of dimension 4 in a dimension-3"),
+        ({"base": [0, 0, 0], "dir": [1, 1, 0]}, "direction norm 1.41"),
+        ({"base": [0, 0, 0], "dir": [1e200, 0, 0]}, "direction norm inf not unit"),
     ):
-        with pytest.raises(GeometryError):
-            DirectedLine.from_json_obj(line)
+        obj = {"dim": 3, "lines": [{"base": [0, 0, 1], "dir": [0, 1, 0]}, line]}
+        with pytest.raises(GeometryError, match=message):
+            LineConfig.from_json_obj(obj)
