@@ -20,14 +20,15 @@ correct with any canonical labeling.  The search labels a child with
 `canonical_form` keyed by each vertex's (degree, neighbours' degree sum):
 the walk starts from those key classes, so it rarely branches.  Only the
 least clean mask of each orbit under the parent's automorphisms is tried;
-the level carries their generators from the canonical form that accepted
-the parent, so no class is canonicalized twice.  The new vertex must have
-the largest key, and the child is accepted only when it is in the orbit of
-the designated vertex d, the one labeled last, under the child's
-automorphisms.  Families are hereditary, so the child minus d is clean: each
-class comes from exactly one parent and one orbit of its masks.  The `kept`
-count of a level still counts every clean mask.  The keyless, lex-min code
-of a class is computed only for output, by `FeasibleLevel.codes`.
+every level carries their generators from the canonical form that accepted
+each of its graphs, so no class is canonicalized twice and any level can be
+extended.  The new vertex must have the largest key, and the child is
+accepted only when it is in the orbit of the designated vertex d, the one
+labeled last, under the child's automorphisms.  Families are hereditary, so
+the child minus d is clean: each class comes from exactly one parent and
+one orbit of its masks.  The `kept` count of a level still counts every
+clean mask.  The keyless, lex-min code of a class is computed only for
+output, by `FeasibleLevel.codes`.
 
 `levels` is the one level driver: it yields level 1 and then each next
 level.  `Workers` owns a search's fork pool, opened at the first call wide
@@ -57,7 +58,7 @@ from .graphs import MAX_VERTICES, Graph, _orbit, canonical_form, pair_count
 DEFAULT_SURVIVOR_CAP = 50_000_000
 MAX_JOBS = 64  # a fork pool starts all its workers at once, about 27 MB each
 LEVEL_FIELDS = ("k", "count", "expanded", "kept", "seconds")  # a report level
-BLOCK_PARENTS, BLOCK_CELLS = 8, 1 << 13  # a filter block: first parents, most masks
+BLOCK_CELLS = 1 << 13  # a filter block's masks, parents x 2^k, at most
 SCATTER_ENTRIES = 1 << 14  # bad-mask indices per scatter of the filter
 
 
@@ -78,10 +79,9 @@ class FeasibleLevel:
     neighbours' degree sum), sorted by those codes; `codes()` gives the
     classes' lex-min output codes.  `generators` packs, per graph,
     generators of its automorphism group, k bytes each (the images of
-    vertices 0..k-1); the default is level 1's, and the top level of
-    `levels`, which is never extended, carries none (an empty tuple).
-    `expanded`, `kept` and `seconds` are the step that made the level: the
-    masks it tried, the clean ones among them and its wall time in s."""
+    vertices 0..k-1); the default is level 1's.  `expanded`, `kept` and
+    `seconds` are the step that made the level: the masks it tried, the
+    clean ones among them and its wall time in s."""
 
     k: int
     graphs: tuple[Graph, ...]
@@ -120,13 +120,6 @@ def timing_free(report: dict) -> dict:
         for level in report["levels"]
     ]
     return obj
-
-
-@lru_cache(maxsize=None)
-def _mask_bits(k: int) -> np.ndarray:
-    """bits[i, M] = bit i of neighbor mask M, for all 2^k masks."""
-    masks = np.arange(1 << k, dtype=np.uint32)
-    return (masks >> np.arange(k, dtype=np.uint32)[:, None] & 1).astype(np.uint8)
 
 
 @lru_cache(maxsize=None)
@@ -177,29 +170,33 @@ def _clean_extensions(k: int, bits, fam: ForbiddenFamily) -> list[np.ndarray]:
     return [np.flatnonzero(row).astype(np.uint32) for row in clean]
 
 
+def _bits(words, k: int) -> np.ndarray:
+    """bits[i, j] = bit i of words[j], for i < k."""
+    return np.uint32(words) >> np.arange(k, dtype=np.uint32)[:, None] & 1
+
+
 def _orbit_representatives(masks: np.ndarray, generators, k: int) -> np.ndarray:
     """The masks that are least in their orbit under the group generated by
     `generators`, automorphisms of the parent acting on masks by sending
-    bit i to bit h[i].  `masks` must be a union of orbits."""
-    if not generators:
+    bit i to bit h[i].  `masks` must be ascending and a union of orbits."""
+    if not len(generators):
         return masks
-    mbits = _mask_bits(k).astype(np.uint32)
-    images = []
-    for h in generators:
-        image = np.zeros(1 << k, dtype=np.uint32)
-        for i, hi in enumerate(h):
-            image |= mbits[i] << hi
-        images.append(image)
-    # least[M] only ever falls, and always names a member of M's orbit; it
-    # stops falling once it is constant on every orbit, at the orbit minimum
-    least = np.arange(1 << k, dtype=np.uint32)
+    bits = _bits(masks, k)
+    images = [  # the index in masks of each mask's image
+        np.searchsorted(masks, np.bitwise_or.reduce(bits << np.uint32(h)[:, None]))
+        for h in generators
+    ]
+    # least[j] only ever falls, and always indexes a member of the orbit of
+    # masks[j]; it stops falling once it is constant on every orbit, at the
+    # orbit minimum, since masks is ascending
+    least = np.arange(masks.size)
     while True:
         fallen = least
         for image in images:
             fallen = np.minimum(fallen, fallen[image])
         fallen = fallen[fallen]
         if np.array_equal(fallen, least):
-            return masks[least[masks] == masks]
+            return masks[least == np.arange(masks.size)]
         least = fallen
 
 
@@ -207,8 +204,7 @@ def _invariants(prow, masks: np.ndarray, k: int) -> np.ndarray:
     """degree << 8 | neighbours' degree sum of each vertex (row; the new
     vertex is row k) of the child made by each mask (column); the sum is
     below 256, so the packed order is the order of the pairs."""
-    bits = _mask_bits(k)
-    sel, adj = bits[:, masks].astype(np.int32), bits[:, list(prow)].astype(np.int32)
+    sel, adj = _bits(masks, k).astype(np.int32), _bits(prow, k).astype(np.int32)
     deg = np.vstack([adj.sum(axis=0)[:, None] + sel, sel.sum(axis=0)])
     nsum = np.vstack([adj @ deg[:k] + sel * deg[k], (sel * deg[:k]).sum(axis=0)])
     return deg << 8 | nsum
@@ -252,40 +248,35 @@ class Workers:
         if self.pool is not None:
             self.pool.shutdown()
 
-    def map(self, fn, k: int, items: tuple, *extra) -> list:
-        """fn over chunks (k, run of items, *extra), one result per chunk:
+    def map(self, fn, k: int, items: tuple) -> list:
+        """fn over chunks (k, run of items), one result per chunk:
         in process, as one chunk, when there is one job or the call is
         narrow, else in the pool."""
         if self.jobs == 1 or len(items) < 2 * self.jobs:
-            return [fn((k, items, *extra), self.shared)]
+            return [fn((k, items), self.shared)]
         if self.pool is None:
             self.pool = ProcessPoolExecutor(self.jobs, _FORK, _share, self.shared)
         # round robin, so each chunk gets a share of every stretch of the
         # items, and four chunks per worker, so none waits long on another
         n = min(4 * self.jobs, len(items))
-        return list(self.pool.map(fn, [(k, items[i::n], *extra) for i in range(n)]))
+        return list(self.pool.map(fn, [(k, items[i::n]) for i in range(n)]))
 
 
 def _filtered(k: int, parents, fam: ForbiddenFamily):
     """Each (bits, packed) k-vertex parent with its clean masks, filtered in
-    blocks made as they are used: BLOCK_PARENTS parents at first, so a level
-    that passes its cap early filters few parents past it, then twice as
-    many each time, up to BLOCK_CELLS masks per block."""
-    top = max(1, BLOCK_CELLS >> k)
-    lo, size = 0, min(BLOCK_PARENTS, top)
-    while lo < len(parents):
+    blocks of up to BLOCK_CELLS masks, each made when it is first used."""
+    size = max(1, BLOCK_CELLS >> k)
+    for lo in range(0, len(parents), size):
         run = parents[lo : lo + size]
         yield from zip(run, _clean_extensions(k, [bits for bits, _ in run], fam))
-        lo, size = lo + size, min(2 * size, top)
 
 
 def _expand_chunk(chunk, shared=None):
     """Accepted (code, packed generators) children of a run of k-vertex
-    parents, given the same way, as (k, parents, pack); with pack false the
-    children carry no generators.  Adds each parent's clean masks to the
-    level's counter (by default a pool worker's installed one) and stops
-    early once that passes the cap."""
-    k, parents, pack = chunk
+    parents, given the same way, as (k, parents).  Adds each parent's clean
+    masks to the level's counter (by default a pool worker's installed one)
+    and stops early once that passes the cap."""
+    k, parents = chunk
     fam, cap, level_kept = shared or _shared
     shift = pair_count(k)
     children = []
@@ -304,7 +295,7 @@ def _expand_chunk(chunk, shared=None):
         masks, keys = masks[top], keys[:, top]
         if not masks.size:
             continue
-        generators = [packed[i : i + k] for i in range(0, len(packed), k)]
+        generators = np.frombuffer(packed, np.uint8).reshape(-1, k)
         reps = _orbit_representatives(masks, generators, k)
         keys = keys[:, np.searchsorted(masks, reps)].T.tolist()
         for mask, key in zip(reps.tolist(), keys):
@@ -313,21 +304,19 @@ def _expand_chunk(chunk, shared=None):
             # the orbit of the designated vertex, the one at position k
             d = form.witness.index(k)
             if _orbit(1 << d, form.generators) >> k & 1:
-                packed = _pack(form.generators, form.witness) if pack else b""
-                children.append((form.code, packed))
+                children.append((form.code, _pack(form.generators, form.witness)))
     return children
 
 
-def _extend(level: FeasibleLevel, workers: Workers, pack: bool) -> FeasibleLevel:
-    """Level k+1 from level k through `workers`.  With pack false the new
-    level carries no generators, so it cannot be extended."""
+def _extend(level: FeasibleLevel, workers: Workers) -> FeasibleLevel:
+    """Level k+1 from level k through `workers`."""
     t0 = time.perf_counter()
     k = level.k
     if k >= MAX_VERTICES:
         raise ValueError(f"levels beyond {MAX_VERTICES} vertices are unsupported")
     workers.shared[2].value = 0  # the level's clean-mask counter
     parents = tuple(zip((g.bits for g in level.graphs), level.generators, strict=True))
-    results = workers.map(_expand_chunk, k, parents, pack)
+    results = workers.map(_expand_chunk, k, parents)
     children = sorted(child for chunk in results for child in chunk)
     if any(a[0] == b[0] for a, b in zip(children, children[1:])):
         raise RuntimeError(f"a class of level {k + 1} was generated twice")
@@ -335,7 +324,7 @@ def _extend(level: FeasibleLevel, workers: Workers, pack: bool) -> FeasibleLevel
         k + 1,
         tuple(Graph(k + 1, code) for code, _ in children),
         workers.shared[2].value,
-        tuple(packed for _, packed in children) if pack else (),
+        tuple(packed for _, packed in children),
         level.count << k,
         round(time.perf_counter() - t0, 3),
     )
@@ -344,10 +333,10 @@ def _extend(level: FeasibleLevel, workers: Workers, pack: bool) -> FeasibleLevel
 def extend_level(
     level: FeasibleLevel, fam: ForbiddenFamily, jobs: int = 1
 ) -> FeasibleLevel:
-    """Level k+1 from level k, with generators, in a pool of its own when
-    jobs > 1 and the level is wide enough."""
+    """Level k+1 from level k, in a pool of its own when jobs > 1 and the
+    level is wide enough."""
     with Workers(fam, DEFAULT_SURVIVOR_CAP, jobs) as workers:
-        return _extend(level, workers, True)
+        return _extend(level, workers)
 
 
 def levels(fam: ForbiddenFamily, n_max: int, workers: Workers | None = None):
@@ -359,8 +348,7 @@ def levels(fam: ForbiddenFamily, n_max: int, workers: Workers | None = None):
     level = FeasibleLevel(1, (Graph(1, 0),))
     yield level
     while level.k < n_max and level.count > 0:
-        # level n_max is never extended, so it needs no generators
-        level = _extend(level, workers, level.k + 1 < n_max)
+        level = _extend(level, workers)
         yield level
 
 

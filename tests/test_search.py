@@ -6,6 +6,7 @@ import itertools
 import json
 import multiprocessing
 import random
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from importlib import resources
@@ -73,7 +74,7 @@ def expand(parent, fam):
     """Accepted child codes and clean-mask count of one parent."""
     packed = bytes(v for h in canonical_form(parent).generators for v in h)
     shared = (fam, DEFAULT_SURVIVOR_CAP, multiprocessing.Value("q", 0))
-    children = _expand_chunk((parent.n, ((parent.bits, packed),), True), shared)
+    children = _expand_chunk((parent.n, ((parent.bits, packed),)), shared)
     return [code for code, _ in children], shared[2].value
 
 
@@ -346,6 +347,25 @@ def test_clean_extensions_on_large_random_parents(monkeypatch):
             assert is_forbidden(child, fam, through=k) == (mask not in clean)
 
 
+@lru_cache(maxsize=None)
+def k4_k32_report(jobs: int) -> dict:
+    """The timing-free report of the K4, K3,2 search to 16, with witnesses."""
+    fam = family_from_json([{"pattern": p, "scope": "both"} for p in ("K4", "K3,2")])
+    return timing_free(run_search(fam, 16, jobs=jobs, witnesses=True))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_k4_k32_search_to_16(jobs):
+    # the last row of the bound ladder and the only search that reaches
+    # k = 15: K4 and K3,2, each in both colors, leave one class at 16
+    report = k4_k32_report(jobs)
+    counts = [level["count"] for level in report["levels"]]
+    assert counts == [1, 2, 4, 9, 22, 66, 202, 581, 1181, 1144, 466, 65, 25, 6, 2, 1]
+    assert report["verdict"] == {"kind": "feasible-survivors", "k": 16, "count": 1}
+    assert report["witnesses"]["graph6"] == ["O@LIjXqbkusml`sZZ_^ES"]
+    assert report == k4_k32_report(1)
+
+
 def test_default_family_without_k32_is_empty_at_12():
     # the first row of the bound ladder: the other four patterns, each in
     # both colors, leave 3,796 classes at 9 and no clean coloring of K_12
@@ -358,22 +378,43 @@ def test_default_family_without_k32_is_empty_at_12():
 
 
 def test_orbit_representatives_are_the_orbit_minima():
+    # over every mask, and over the union of a random subset of the orbits
     rng = random.Random(5)
     cases = [catalog.cycle_graph(6), catalog.complete_bipartite(2, 4), Graph(5)]
     cases += [Graph(7, rng.getrandbits(21)) for _ in range(5)]
     for g in cases:
         generators = canonical_form(g).generators
         group = group_closure(generators, g.n)
-        least = [
-            mask
-            for mask in range(1 << g.n)
-            if all(
-                sum(1 << h[i] for i in range(g.n) if mask >> i & 1) >= mask
-                for h in group
+        orbits = {
+            frozenset(
+                sum(1 << h[i] for i in range(g.n) if mask >> i & 1) for h in group
             )
-        ]
+            for mask in range(1 << g.n)
+        }
         every = np.arange(1 << g.n, dtype=np.uint32)
+        least = sorted(min(orbit) for orbit in orbits)
         assert _orbit_representatives(every, generators, g.n).tolist() == least
+        chosen = [orbit for orbit in orbits if rng.random() < 0.5]
+        some = np.array(sorted(set().union(*chosen)), dtype=np.uint32)
+        least = sorted(min(orbit) for orbit in chosen)
+        assert _orbit_representatives(some, generators, g.n).tolist() == least
+
+
+def test_orbit_representatives_take_memory_in_proportion_to_the_masks():
+    # k = 15: the edgeless graph's group is every permutation, so the 17
+    # masks below are three orbits; a table over all 2^15 masks would take
+    # megabytes
+    generators = canonical_form(Graph(15)).generators
+    assert len(generators) == 14
+    masks = np.array([0] + [1 << i for i in range(15)] + [(1 << 15) - 1], np.uint32)
+    tracemalloc.start()
+    try:
+        reps = _orbit_representatives(masks, generators, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reps.tolist() == [0, 1, (1 << 15) - 1]
+    assert peak < 64 << 10
 
 
 def test_shared_kept_count_loses_no_update():
@@ -381,9 +422,9 @@ def test_shared_kept_count_loses_no_update():
     # leave it below the number of clean masks of the level's parents
     ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("q", 0)
-    level = search_levels("default", 9)[7]  # level 8; level 9 carries no generators
+    level = search_levels("default", 9)[7]  # level 8
     parents = tuple(zip((g.bits for g in level.graphs), level.generators))
-    chunks = [(8, parents[i::4], True) for i in range(4)]
+    chunks = [(8, parents[i::4]) for i in range(4)]
     shared = (FAM, DEFAULT_SURVIVOR_CAP, counter)
     with ProcessPoolExecutor(4, ctx, search._share, shared) as pool:
         list(pool.map(_expand_chunk, chunks, timeout=120))
@@ -414,37 +455,24 @@ def test_one_pool_per_search_and_no_worker_outlives_it(monkeypatch):
     "name, n", [("default", 9), ("r44", 7)] + [(name, 7) for name in ONE_SIDED]
 )
 def test_carried_generators_generate_the_automorphism_group(name, n):
-    # levels 1..n; the search packs no generators for its top level, n + 1
+    # every level of a search to n, its top level n included, and that top
+    # level extends to the next level of a search to n + 1
     fam = FAMILIES.get(name) or ONE_SIDED[name]
     if name in FAMILIES:
-        levels = search_levels(name, n + 1)
+        levels, longer = search_levels(name, n), search_levels(name, n + 1)
     else:
-        levels = feasible_levels(fam, n + 1)
-    for level in levels[:n]:
+        levels, longer = feasible_levels(fam, n), feasible_levels(fam, n + 1)
+    for level in levels:
         assert len(level.generators) == level.count
         for g, packed in zip(level.graphs, level.generators):
             carried = unpack(packed, g.n)
             assert all(permute(g, h) == g for h in carried)
             expected = group_closure(canonical_form(g).generators, g.n)
             assert group_closure(carried, g.n) == expected
-
-
-def test_top_level_carries_no_generators(monkeypatch):
-    # run_search never extends its top level, so it packs no generators
-    # for it, and such a level cannot be extended
-    levels = []
-    extend = search._extend
-
-    def recording(*args):
-        levels.append(extend(*args))
-        return levels[-1]
-
-    monkeypatch.setattr(search, "_extend", recording)
-    run_search(R34, 6)
-    assert [level.count for level in levels] == GOLDEN_R34[1:6]
-    assert [len(level.generators) for level in levels] == GOLDEN_R34[1:5] + [0]
-    with pytest.raises(ValueError):
-        extend_level(levels[-1], R34)
+    top, next_level = extend_level(levels[-1], fam), longer[n]
+    assert top == next_level
+    assert (top.kept, top.expanded) == (next_level.kept, next_level.expanded)
+    assert top.generators == next_level.generators
 
 
 def test_pooled_extend_level_matches_one_job(monkeypatch):
@@ -561,22 +589,28 @@ def test_survivor_cap():
 
 
 def test_survivor_cap_stops_the_level_early(monkeypatch):
-    # the capped level must not expand every parent
-    calls = []
+    # R(4,4) level 7 has 362 parents in blocks of 64: the capped step stops
+    # at the parent whose clean masks take the count past the cap, and
+    # filters at most one block past that parent
+    filtered = []
 
     def counting(k, bits, fam):
-        calls.extend([k] * len(bits))  # one entry per parent filtered
+        filtered.extend([k] * len(bits))  # one entry per parent filtered
         return _clean_extensions(k, bits, fam)
 
     monkeypatch.setattr(search, "_clean_extensions", counting)
     with pytest.raises(SearchCapExceeded) as err:
-        run_search(FAM, 10, cap=100)
+        run_search(R44, 8, cap=5000)
+    capped = filtered.count(7)
     last = err.value.report["levels"][-1]
-    assert max(last["kept"], last["count"]) > 100
-    capped = calls.count(last["k"] - 1)
-    calls.clear()
-    run_search(FAM, last["k"])
-    assert capped < calls.count(last["k"] - 1)
+    assert (last["k"], last["kept"], last["count"]) == (8, 5021, 676)
+    bits = [g.bits for g in search_levels("r44", 7)[6].graphs]
+    kept = np.cumsum([masks.size for masks in _clean_extensions(7, bits, R44)])
+    passed = int(np.argmax(kept > 5000))  # the parent that passed the cap
+    assert kept[passed] == last["kept"]
+    block = search.BLOCK_CELLS >> 7
+    assert (len(bits), block) == (362, 64)
+    assert passed < capped <= passed + 1 + block < len(bits)
 
 
 def test_run_search_validates_arguments():
