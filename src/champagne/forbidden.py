@@ -4,12 +4,12 @@ A coloring is a Graph (edges red, non-edges blue).  A family entry is a
 pattern graph plus a color scope: "red" forbids the pattern as an induced
 subgraph of the coloring, "blue" forbids it in the complement, "both"
 forbids either.  Patterns are small (2..8 vertices), so each entry is
-compiled to the set of edge-bitset codes of all its labeled copies; an
-induced-containment test is then subset enumeration plus set membership.
-The copies come from whole-array numpy steps over the n! x n table of
-vertex orders, one pass per pattern edge.  Relabeling commutes with
-complementing, so an entry's blue copies are its red copies XOR the full
-mask; the complement is never enumerated.
+compiled to the set of edge-bitset codes of all its labeled copies, which
+the search reads through the prefix tables below (the scalar containment
+test is the oracle `tests/oracles.is_forbidden`).  The copies come from
+whole-array numpy steps over the n! x n table of vertex orders, one pass
+per pattern edge.  Relabeling commutes with complementing, so an entry's
+blue copies are its red copies XOR the full mask, not a second enumeration.
 
 For the level-by-level search, `completions[m]` splits each bad code into
 its prefix (bits among the first m-1 vertices; the slot order groups pairs

@@ -277,8 +277,7 @@ def canonical_form(g: Graph, keys=None) -> CanonicalForm:
     once every cell is one vertex the rest of the order is the cell order.
     Branches whose decided slot prefix exceeds the best complete labeling
     are pruned; the first complete labeling is the first incumbent.
-    Vertices are relabeled by stable (key, degree) rank on entry, so tied
-    candidates are tried low degree first, then by label.
+    The walk runs in g's own labels, so tied candidates are tried by label.
 
     Twins (u, v with the same neighbors outside {u, v} and the same key)
     are placed in label order: swapping two twins is an automorphism, so
@@ -302,38 +301,20 @@ def canonical_form(g: Graph, keys=None) -> CanonicalForm:
     """
     n = g.n
     m = pair_count(n)
-    rows0 = g.rows()
+    rows = g.rows()
     if keys is None:
         keys = (0,) * n
     elif len(keys) != n:
         raise GraphError(f"{len(keys)} keys for {n} vertices")
-    by_key = sorted(range(n), key=lambda v: (keys[v], rows0[v].bit_count()))
-    rank = [0] * n
-    for r, v in enumerate(by_key):
-        rank[v] = r
-    keys = [keys[v] for v in by_key]
-    cells = []  # the key classes, ascending
-    for r in range(n):
-        if r and keys[r] == keys[r - 1]:
-            cells[-1] = (cells[-1][0] | 1 << r, 0)
-        else:
-            cells.append((1 << r, 0))
-    bit = [1 << r for r in rank]
-    rows = []
-    for v in by_key:
-        row, relabeled = rows0[v], 0
-        while row:
-            low = row & -row
-            relabeled |= bit[low.bit_length() - 1]
-            row ^= low
-        rows.append(relabeled)
+    classes = {}
+    for v in range(n):
+        classes[keys[v]] = classes.get(keys[v], 0) | 1 << v
+    cells = [(classes[key], 0) for key in sorted(classes)]  # ascending
     prev = [0] * n  # bit of the previous twin of each vertex, 0 for none
     twins = []
     for v in range(n):
         for u in range(v - 1, -1, -1):
-            if keys[u] != keys[v]:
-                break  # a key class is a run of ranks
-            if not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v):
+            if keys[u] == keys[v] and not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v):
                 prev[v] = 1 << u
                 twins.append((u, v))
                 break
@@ -412,16 +393,11 @@ def canonical_form(g: Graph, keys=None) -> CanonicalForm:
 
     witness = [0] * n
     for pos, v in enumerate(best_order):
-        witness[by_key[v]] = pos
-    generators = []
-    for perm in autos:
-        h = [0] * n
-        for v in range(n):
-            h[by_key[v]] = by_key[perm[v]]
-        generators.append(tuple(h))
+        witness[v] = pos
+    generators = [tuple(perm) for perm in autos]
     for u, v in twins:
         h = list(range(n))
-        h[by_key[u]], h[by_key[v]] = by_key[v], by_key[u]
+        h[u], h[v] = v, u
         generators.append(tuple(h))
     return CanonicalForm(_lex_to_bits(best_lex, n), tuple(witness), tuple(generators))
 

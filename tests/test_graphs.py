@@ -23,7 +23,8 @@ from champagne.graphs import (
     switch,
 )
 from champagne import catalog
-from conftest import graph_with_permutation, graphs, random_graph
+from champagne.forbidden import default_family, ramsey_family
+from conftest import feasible_levels, graph_with_permutation, graphs, random_graph
 from oracles import (
     assert_keyed_form,
     automorphism_count,
@@ -433,6 +434,20 @@ def test_generators_generate_the_automorphism_group_up_to_8():
         for a in range(1, 5)
         for b in range(a, 9 - a)
     ]
+    for g in cases:
+        shuffled = list(range(g.n))
+        rng.shuffle(shuffled)
+        assert_generates_the_automorphism_group(permute(g, shuffled))
+
+
+def test_generators_generate_the_automorphism_group_of_search_classes():
+    # the keyless walk on 8 and 9 vertices: every class of default levels 8
+    # and 9 and the first 400 of R(4,4) level 8, each shuffled
+    rng = random.Random(9)
+    default = feasible_levels(default_family(), 9)
+    cases = default[7].graphs + default[8].graphs
+    cases += feasible_levels(ramsey_family(4, 4), 8)[7].graphs[:400]
+    assert len(cases) == 242 + 82 + 400
     for g in cases:
         shuffled = list(range(g.n))
         rng.shuffle(shuffled)
