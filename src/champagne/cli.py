@@ -2,7 +2,9 @@
 
 Subcommands: search, verify-signatures, check-lines, gen-lower-bound,
 catalog.  All machine-readable output is UTF-8 JSON on stdout (or --out);
-progress and diagnostics go to stderr.
+progress and diagnostics go to stderr.  Each command returns (report, exit
+code), the report being a dict, the catalog's text or None, and `main`
+writes every report.
 
 Exit codes: 0 success / run complete, 1 verification failure or invalid
 input configuration, 2 unusable input (parse errors, bad arguments) or an
@@ -33,7 +35,7 @@ from . import catalog, geometry, signature
 from .forbidden import default_family, load_family, ramsey_family
 from .graphs import canonical_form
 from .jsonout import dumps
-from .search import DEFAULT_SURVIVOR_CAP, MAX_JOBS, SearchCapExceeded, run_search
+from .search import DEFAULT_SURVIVOR_CAP, MAX_JOBS, run_search
 
 FAMILY_ALIASES = {"default": default_family, "r34": lambda: ramsey_family(3, 4)}
 
@@ -47,10 +49,6 @@ def _resolve_family(spec: str):
     if spec in FAMILY_ALIASES:
         return FAMILY_ALIASES[spec]()
     return load_family(spec)
-
-
-def _emit(obj, out: str | None) -> None:
-    _write(dumps(obj), out)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -71,29 +69,27 @@ def _probe_writable(path: str) -> None:
         os.remove(path)
 
 
-def cmd_search(args) -> int:
+def cmd_search(args):
     fam = _resolve_family(args.family)
     # a search can run for minutes: refuse a bad path first (main probed --out)
     if args.witnesses:
         if args.out and os.path.realpath(args.out) == os.path.realpath(args.witnesses):
             raise ValueError(f"--witnesses and --out name the same file: {args.out}")
         _probe_writable(args.witnesses)
-    try:
-        report = run_search(
-            fam, args.n, jobs=args.jobs, cap=args.cap, progress=not args.quiet,
-            witnesses=bool(args.witnesses or args.embed_witnesses),
-        )
-    except SearchCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _emit(exc.report, args.out)
-        return 3
+    report = run_search(
+        fam, args.n, jobs=args.jobs, cap=args.cap, progress=not args.quiet,
+        witnesses=bool(args.witnesses or args.embed_witnesses),
+    )
+    if report["verdict"]["kind"] == "cap-exceeded":
+        print(f"error: survivor cap exceeded at level {report['verdict']['k']}",
+              file=sys.stderr)
+        return report, 3
     if args.witnesses:
         _write("\n".join(report["witnesses"]["graph6"]), args.witnesses)
         report["witnesses"]["path"] = args.witnesses
         if not args.embed_witnesses:
             del report["witnesses"]["graph6"]
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
 def _catalog_signature_checks():
@@ -116,7 +112,7 @@ def _catalog_signature_checks():
     return checks
 
 
-def cmd_verify_signatures(args) -> int:
+def cmd_verify_signatures(args):
     lemmas = []
     for kind in signature.LEMMAS:
         lemma = signature.verify_pattern_lemma(
@@ -139,41 +135,33 @@ def cmd_verify_signatures(args) -> int:
             file=sys.stderr,
         )
     passed = all(l["passed"] for l in lemmas) and all(c["passed"] for c in checks)
-    _emit(
-        {
-            "trials": args.trials,
-            "seed": args.seed,
-            "passed": passed,
-            "lemmas": lemmas,
-            "catalog_checks": checks,
-        },
-        args.out,
-    )
-    return 0 if passed else 1
+    return {
+        "trials": args.trials,
+        "seed": args.seed,
+        "passed": passed,
+        "lemmas": lemmas,
+        "catalog_checks": checks,
+    }, 0 if passed else 1
 
 
-def cmd_check_lines(args) -> int:
+def cmd_check_lines(args):
     cfg = geometry.load_config(sys.stdin if args.config == "-" else args.config)
     if args.tol is not None:
         cfg = geometry.LineConfig(cfg.dim, cfg.bases, cfg.directions, args.tol)
     if args.distances_only:
         report = geometry.config_report(cfg)
-        _emit(
-            {
-                "mode": "distances-only",
-                "valid": report.distances_ok,
-                "config": report.to_json_obj(),
-            },
-            args.out,
-        )
-        return 0 if report.distances_ok else 1
+        return {
+            "mode": "distances-only",
+            "valid": report.distances_ok,
+            "config": report.to_json_obj(),
+        }, 0 if report.distances_ok else 1
     if cfg.dim != 3:
         # chirality is undefined outside R^3; distance checks still apply
         print(
             "error: chirality graphs are defined only in R^3 (try --distances-only)",
             file=sys.stderr,
         )
-        return 1
+        return None, 1
     graph, report = geometry.chirality_graph(cfg)
     result = {
         "mode": "full",
@@ -189,27 +177,23 @@ def cmd_check_lines(args) -> int:
                 f"{pair['distance']:.6g} parallel={pair['parallel']}",
                 file=sys.stderr,
             )
-        _emit(result, args.out)
-        return 1
+        return result, 1
     try:
         realization = geometry.check_realization(report)
     except geometry.GeometryError as exc:
         result["error"] = str(exc)
         print(f"error: {exc}", file=sys.stderr)
-        _emit(result, args.out)
-        return 1
+        return result, 1
     result["realization"] = realization
     result["valid"] = realization["passed"]
-    _emit(result, args.out)
-    return 0 if realization["passed"] else 1
+    return result, 0 if realization["passed"] else 1
 
 
-def cmd_gen_lower_bound(args) -> int:
-    _emit(geometry.lower_bound_config(args.dim).to_json_obj(), args.out)
-    return 0
+def cmd_gen_lower_bound(args):
+    return geometry.lower_bound_config(args.dim).to_json_obj(), 0
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args):
     lines = []
     for name, g in catalog.CATALOG.items():
         edges = ",".join(f"{u + 1}{v + 1}" for u, v in sorted(g.edges()))
@@ -217,8 +201,7 @@ def cmd_catalog(args) -> int:
             f"{name:6s} n={g.n} edges={{{edges}}} "
             f"graph6={g.to_graph6()} canonical={canonical_form(g).code}"
         )
-    _write("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines), 0
 
 
 @functools.cache
@@ -288,7 +271,10 @@ def main(argv=None) -> int:
     try:
         if args.out:  # refuse an unwritable path before any command's work
             _probe_writable(args.out)
-        return args.func(args)
+        report, code = args.func(args)
+        if report is not None:
+            _write(report if isinstance(report, str) else dumps(report), args.out)
+        return code
     except (ValueError, OSError) as exc:  # unusable input or --out path
         print(f"error: {exc}", file=sys.stderr)
         return 2

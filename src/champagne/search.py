@@ -62,16 +62,6 @@ BLOCK_CELLS = 1 << 13  # a filter block's masks, parents x 2^k, at most
 SCATTER_ENTRIES = 1 << 14  # bad-mask indices per scatter of the filter
 
 
-class SearchCapExceeded(RuntimeError):
-    """A level outgrew the configured survivor cap; carries partial results."""
-
-    def __init__(self, report):
-        super().__init__(
-            f"survivor cap exceeded at level {report['levels'][-1]['k']}"
-        )
-        self.report = report
-
-
 @dataclass(frozen=True)
 class FeasibleLevel:
     """All clean colorings of K_k, one per class.  The search stores each in
@@ -362,10 +352,11 @@ def run_search(
     progress: bool = False,
 ) -> dict:
     """Grow feasible levels from the 1-vertex coloring up to n_max vertices,
-    in `jobs` processes, failing once a level's clean-mask count passes
-    `cap`; `progress` prints a line per level to stderr.
+    in `jobs` processes; `progress` prints a line per level to stderr.
 
-    Stops early once a level is empty.  The report is the JSON object the
+    Stops early once a level is empty, or once a level's clean-mask count
+    passes `cap`: then the report holds the levels so far, the verdict
+    `cap-exceeded` and no witnesses.  The report is the JSON object the
     `search` command writes; with `witnesses`, it embeds the last non-empty
     level as graph6 lines, by ascending lex-min code.  Its `timing_free`
     view is deterministic for any worker count, except the partial counts
@@ -399,7 +390,7 @@ def run_search(
             # the chunks stop once kept, never below count, passes the cap
             if level.kept > cap:
                 report["verdict"] = {"kind": "cap-exceeded", "k": level.k}
-                raise SearchCapExceeded(report)
+                return report
         if witnesses:
             lines = [Graph(final.k, code).to_graph6() for code in final.codes(workers)]
             report["witnesses"] = {"k": final.k, "count": final.count, "graph6": lines}

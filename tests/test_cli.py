@@ -15,9 +15,10 @@ except ImportError:  # pragma: no cover
 
 from champagne.cli import bundled_path, main
 from champagne.forbidden import default_family
+from champagne.geometry import lower_bound_config
 from champagne.graphs import Graph
 from champagne.jsonout import dumps
-from champagne.search import SearchCapExceeded, run_search, timing_free
+from champagne.search import run_search, timing_free
 
 requires_jsonschema = pytest.mark.skipif(
     jsonschema is None, reason="jsonschema not installed"
@@ -161,6 +162,21 @@ def test_search_cap_exits_3(capsys, tmp_path):
     assert partial["verdict"]["kind"] == "cap-exceeded"
 
 
+def test_capped_search_writes_no_witnesses(capsys, tmp_path):
+    g6_path = tmp_path / "w.g6"
+    code, out, err = run_cli(
+        capsys,
+        "search", "--family", "default", "--n", "8", "--jobs", "1", "--quiet",
+        "--cap", "10", "--witnesses", str(g6_path), "--embed-witnesses",
+    )
+    assert code == 3
+    assert err == "error: survivor cap exceeded at level 4\n"
+    report = json.loads(out)
+    assert report["verdict"] == {"kind": "cap-exceeded", "k": 4}
+    assert report["witnesses"] is None
+    assert not g6_path.exists()
+
+
 def test_search_cap_holds_across_workers(capsys, tmp_path):
     # the chunks of a level share one clean-mask count, so with two jobs
     # level 7 (1,544 clean masks in all) stops soon after passing the cap
@@ -285,10 +301,7 @@ def test_search_out_is_the_library_report(capsys, tmp_path, argv, kwargs, expect
         capsys, "search", "--jobs", "1", "--quiet", "--out", str(out_path), *argv
     )
     assert code == expected
-    try:
-        report = run_search(default_family(), jobs=1, **kwargs)
-    except SearchCapExceeded as exc:
-        report = exc.report
+    report = run_search(default_family(), jobs=1, **kwargs)
     written = timing_free(json.loads(out_path.read_text(encoding="utf-8")))
     assert written == json.loads(dumps(timing_free(report)))
 
@@ -679,6 +692,55 @@ def test_unwritable_out_exits_2(capsys, tmp_path, argv):
     assert out == ""
     assert err.splitlines()[-1].startswith("error:")
     assert not out_path.exists()
+
+
+# config files the cases below name, written into the test's directory
+CONFIGS = {
+    "one-line.json": {"dim": 3, "lines": [{"base": [0, 0, 0], "dir": [1, 0, 0]}]},
+    "r4.json": lower_bound_config(4).to_json_obj(),
+}
+
+
+def write_configs(tmp_path, argv):
+    for name, cfg in CONFIGS.items():
+        (tmp_path / name).write_text(dumps(cfg), encoding="utf-8")
+    return [str(tmp_path / arg) if arg in CONFIGS else arg for arg in argv]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["search", "--n", "6", "--jobs", "1", "--quiet"], 0),
+        (["search", "--jobs", "1", "--quiet", "--cap", "10"], 3),
+        (["verify-signatures", "--trials", "5", "--seed", "1"], 0),
+        (["verify-signatures", "--trials", "5", "--seed", "1", "--selftest-corrupt"], 1),
+        (["check-lines", bundled_path("three_lines.json")], 0),
+        (["check-lines", "one-line.json"], 1),
+        (["check-lines", "r4.json", "--distances-only"], 0),
+        (["check-lines", "r4.json"], 1),
+        (["gen-lower-bound", "--dim", "5"], 0),
+        (["catalog"], 0),
+    ],
+    ids=[
+        "search", "search-capped", "verify-signatures", "verify-signatures-corrupt",
+        "check-lines", "check-lines-one-line", "check-lines-distances-only",
+        "check-lines-outside-r3", "gen-lower-bound", "catalog",
+    ],
+)
+def test_out_holds_what_stdout_would(capsys, tmp_path, argv, exit_code):
+    argv = write_configs(tmp_path, argv)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == exit_code
+    out_path = tmp_path / "report"
+    code, stdout, _ = run_cli(capsys, *argv, "--out", str(out_path))
+    assert (code, stdout) == (exit_code, "")
+    if not out:  # full-mode check-lines outside R^3 writes no report
+        assert not out_path.exists()
+    elif argv[0] == "search":  # the levels' seconds differ between runs
+        written = json.loads(out_path.read_bytes())
+        assert timing_free(written) == timing_free(json.loads(out))
+    else:
+        assert out_path.read_bytes() == out.encode("utf-8")
 
 
 @pytest.mark.parametrize("flag", ["--out", "--witnesses"])

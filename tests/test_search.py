@@ -39,7 +39,6 @@ from champagne.search import (
     DEFAULT_SURVIVOR_CAP,
     MAX_JOBS,
     FeasibleLevel,
-    SearchCapExceeded,
     _clean_extensions,
     _expand_chunk,
     _orbit_representatives,
@@ -445,8 +444,7 @@ def test_one_pool_per_search_and_no_worker_outlives_it(monkeypatch):
     assert rep["verdict"] == {"kind": "empty-at-k", "k": 10}
     assert pools == [2]
     assert multiprocessing.active_children() == []
-    with pytest.raises(SearchCapExceeded):
-        run_search(FAM, 10, jobs=2, cap=100)
+    assert run_search(FAM, 10, jobs=2, cap=100)["verdict"]["kind"] == "cap-exceeded"
     assert pools == [2, 2]
     assert multiprocessing.active_children() == []
 
@@ -580,12 +578,16 @@ def test_witnesses_fall_back_to_last_nonempty_level():
 
 
 def test_survivor_cap():
-    with pytest.raises(SearchCapExceeded) as err:
-        run_search(FAM, 6, cap=10)
-    partial = err.value.report
+    partial = run_search(FAM, 6, cap=10)
     assert partial["verdict"]["kind"] == "cap-exceeded"
     last = partial["levels"][-1]
     assert max(last["kept"], last["count"]) > 10  # kept counts every clean mask
+
+
+def test_capped_search_computes_no_witnesses():
+    report = run_search(FAM, 8, cap=10, witnesses=True)
+    assert report["verdict"] == {"kind": "cap-exceeded", "k": 4}
+    assert report["witnesses"] is None
 
 
 def test_survivor_cap_stops_the_level_early(monkeypatch):
@@ -599,10 +601,10 @@ def test_survivor_cap_stops_the_level_early(monkeypatch):
         return _clean_extensions(k, bits, fam)
 
     monkeypatch.setattr(search, "_clean_extensions", counting)
-    with pytest.raises(SearchCapExceeded) as err:
-        run_search(R44, 8, cap=5000)
+    report = run_search(R44, 8, cap=5000)
+    assert report["verdict"] == {"kind": "cap-exceeded", "k": 8}
     capped = filtered.count(7)
-    last = err.value.report["levels"][-1]
+    last = report["levels"][-1]
     assert (last["k"], last["kept"], last["count"]) == (8, 5021, 676)
     bits = [g.bits for g in search_levels("r44", 7)[6].graphs]
     kept = np.cumsum([masks.size for masks in _clean_extensions(7, bits, R44)])
