@@ -33,7 +33,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import catalog, geometry, signature
 from .forbidden import default_family, load_family, ramsey_family
-from .graphs import canonical_form
+from .graphs import MAX_VERTICES, canonical_form
 from .jsonout import dumps
 from .search import DEFAULT_SURVIVOR_CAP, MAX_JOBS, run_search
 
@@ -148,8 +148,8 @@ def cmd_check_lines(args):
     cfg = geometry.load_config(sys.stdin if args.config == "-" else args.config)
     if args.tol is not None:
         cfg = geometry.LineConfig(cfg.dim, cfg.bases, cfg.directions, args.tol)
+    report = geometry.config_report(cfg)
     if args.distances_only:
-        report = geometry.config_report(cfg)
         return {
             "mode": "distances-only",
             "valid": report.distances_ok,
@@ -162,11 +162,13 @@ def cmd_check_lines(args):
             file=sys.stderr,
         )
         return None, 1
-    graph, report = geometry.chirality_graph(cfg)
     result = {
         "mode": "full",
         "config": report.to_json_obj(),
-        "chirality_graph6": graph.to_graph6(),
+        "chirality_graph6": (  # a Graph holds at most MAX_VERTICES vertices
+            geometry.chirality_graph(report).to_graph6()
+            if report.count <= MAX_VERTICES else None
+        ),
         "realization": None,
         "valid": False,
     }

@@ -39,14 +39,6 @@ class GeometryError(ValueError):
     pass
 
 
-class DegeneratePairError(GeometryError):
-    pass
-
-
-class InvalidConfigError(GeometryError):
-    pass
-
-
 _NUMBER_TYPES = frozenset((int, float))  # JSON numbers; bool is not one
 
 
@@ -277,16 +269,16 @@ def config_report(cfg: LineConfig) -> ConfigReport:
     )
 
 
-def chirality_graph(cfg: LineConfig) -> tuple[Graph, ConfigReport]:
-    """Graph with an edge per +1-chirality pair, plus the config report.
+def chirality_graph(report: ConfigReport) -> Graph:
+    """Graph on the report's lines with an edge per +1-chirality pair.
 
-    Parallel or coplanar pairs get no edge and are flagged in the report.
+    Parallel or coplanar pairs get no edge; the report flags them.  Above
+    16 lines (`graphs.MAX_VERTICES`) `Graph` refuses the vertex count.
     """
-    if cfg.dim != 3:
+    if report.matrix is None:
         raise GeometryError("chirality graphs are defined only in R^3")
-    report = config_report(cfg)
     edges = [(p["v"], p["w"]) for p in report.pairs if p["chirality"] == 1]
-    return Graph.from_edges(len(cfg), edges), report
+    return Graph.from_edges(report.count, edges)
 
 
 def _refuse_parallel(report: ConfigReport) -> None:
@@ -294,16 +286,16 @@ def _refuse_parallel(report: ConfigReport) -> None:
     found = report.flagged(report.parallel)
     if found:
         v, w = found[0]["v"], found[0]["w"]
-        raise DegeneratePairError(
+        raise GeometryError(
             f"lines {v} and {w} are parallel; orientation matrix undefined"
         )
 
 
-def t_matrix(cfg: LineConfig) -> np.ndarray:
-    """The pairwise orientation matrix a_vw = <x_v cross x_w, y_v - y_w>."""
-    if cfg.dim != 3:
+def t_matrix(report: ConfigReport) -> np.ndarray:
+    """The report's orientation matrix a_vw = <x_v cross x_w, y_v - y_w>,
+    refused outside R^3 and when a pair is parallel."""
+    if report.matrix is None:
         raise GeometryError("the orientation matrix is defined only in R^3")
-    report = config_report(cfg)
     _refuse_parallel(report)
     return report.matrix
 
@@ -313,8 +305,8 @@ def check_realization(report: ConfigReport) -> dict:
     satisfy: off-diagonal entries nonzero, sign pattern equal to the
     chirality graph, at most 3 negative eigenvalues, and |a| of signature
     (1, n-1), into the `realization` dict that `check-lines` writes.
-    Raises from the report's verdict: InvalidConfigError for a stray
-    distance, then DegeneratePairError for a parallel pair."""
+    Raises GeometryError outside R^3, below 2 lines, then from the
+    report's verdict: first for a stray distance, then for a parallel pair."""
     if report.matrix is None:
         raise GeometryError("realization checks are defined only in R^3")
     n = report.count
@@ -322,7 +314,7 @@ def check_realization(report: ConfigReport) -> dict:
         raise GeometryError("realization checks need at least 2 lines")
     if not report.distances_ok:
         pair = report.flagged(report.stray)[0]
-        raise InvalidConfigError(
+        raise GeometryError(
             f"lines {pair['v']} and {pair['w']} at distance {pair['distance']}, "
             f"not 1 within {report.tolerance}"
         )

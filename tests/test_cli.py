@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 try:
@@ -597,6 +598,31 @@ def test_check_lines_full_mode_makes_one_pair_pass(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "check-lines", bundled_path("three_lines.json"))
     assert code == 0
     assert len(calls) == 2  # one row per line but the last: n - 1 for n = 3
+
+
+@requires_jsonschema
+@pytest.mark.parametrize("count", [16, 17])
+def test_check_lines_full_mode_at_the_graph_limit(capsys, tmp_path, count):
+    # a Graph holds at most 16 vertices; past that the report has no graph6
+    rng = np.random.default_rng(count)
+    directions = rng.normal(size=(count, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    lines = [
+        {"base": base, "dir": direction}
+        for base, direction in zip(rng.uniform(-1.5, 1.5, (count, 3)).tolist(),
+                                   directions.tolist())
+    ]
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps({"dim": 3, "lines": lines}))
+    code, out, err = run_cli(capsys, "check-lines", str(path))
+    assert code == 1
+    report = json.loads(out)
+    jsonschema.validate(report, schema("line_report.schema.json"))
+    assert report["config"]["count"] == count and not report["valid"]
+    assert report["realization"] is None
+    graph6 = report["chirality_graph6"]
+    assert isinstance(graph6, str) if count == 16 else graph6 is None
+    assert "bad pair (0,1)" in err and "vertex count" not in err
 
 
 def test_gen_lower_bound_round_trip(capsys, tmp_path, monkeypatch):

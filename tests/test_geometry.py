@@ -8,9 +8,7 @@ import pytest
 from champagne import cli
 from champagne.geometry import (
     DISTANCE_TOL,
-    DegeneratePairError,
     GeometryError,
-    InvalidConfigError,
     LineConfig,
     MAX_LOWER_BOUND_DIM,
     are_parallel,
@@ -149,7 +147,7 @@ def test_all_pairs_match_scalar_loop(dim):
                 assert pair["chirality"] is None
         assert report.has_parallel
         if dim == 3:
-            matrix = t_matrix(config(*lines[:-1]))
+            matrix = t_matrix(config_report(config(*lines[:-1])))
             for v in range(len(lines) - 1):
                 for w in range(len(lines) - 1):
                     expected = 0.0 if v == w else scalar_pair(lines[v], lines[w])[2]
@@ -215,7 +213,8 @@ def test_chirality_degeneracies():
 
 
 def test_chirality_graph_of_bundled_config():
-    graph, report = chirality_graph(THREE)
+    report = config_report(THREE)
+    graph = chirality_graph(report)
     assert graph == Graph.from_edges(3, [(0, 2)])
     assert report.valid and report.distances_ok and not report.has_parallel
     assert len(report.pairs) == 3
@@ -223,16 +222,19 @@ def test_chirality_graph_of_bundled_config():
 
 
 def test_reversing_a_line_switches_the_graph():
-    base_graph, base_report = chirality_graph(THREE)
+    base_report = config_report(THREE)
+    base_graph = chirality_graph(base_report)
     for w in range(3):
-        flipped, report = chirality_graph(THREE.reverse_line(w))
+        report = config_report(THREE.reverse_line(w))
+        flipped = chirality_graph(report)
         assert flipped == switch(base_graph, w)
         assert report.valid == base_report.valid
 
 
 def test_parallel_pair_is_flagged():
     cfg = config(X_AXIS, (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])), L2)
-    graph, report = chirality_graph(cfg)
+    report = config_report(cfg)
+    graph = chirality_graph(report)
     assert report.has_parallel and not report.valid
     flagged = [p for p in report.pairs if p["parallel"]]
     assert [(p["v"], p["w"]) for p in flagged] == [(0, 1)]
@@ -241,13 +243,15 @@ def test_parallel_pair_is_flagged():
 
 def test_rigid_motion_invariance():
     rng = np.random.default_rng(8)
-    base_graph, base_report = chirality_graph(THREE)
+    base_report = config_report(THREE)
+    base_graph = chirality_graph(base_report)
     for _ in range(20):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
         moved = rigid_transform(THREE, q, rng.normal(size=3))
-        graph, report = chirality_graph(moved)
+        report = config_report(moved)
+        graph = chirality_graph(report)
         assert graph == base_graph
         for before, after in zip(base_report.pairs, report.pairs):
             assert after["distance"] == pytest.approx(before["distance"], abs=1e-9)
@@ -255,8 +259,8 @@ def test_rigid_motion_invariance():
 
 def test_reflection_complements_the_graph():
     mirror = np.diag([1.0, 1.0, -1.0])
-    graph, _ = chirality_graph(rigid_transform(THREE, mirror))
-    base_graph, _ = chirality_graph(THREE)
+    graph = chirality_graph(config_report(rigid_transform(THREE, mirror)))
+    base_graph = chirality_graph(config_report(THREE))
     assert graph == complement(base_graph)
 
 
@@ -273,7 +277,7 @@ def gram_residual(cfg, matrix):
 
 
 def test_t_matrix_gram_identity():
-    matrix = t_matrix(THREE)
+    matrix = t_matrix(config_report(THREE))
     assert matrix.shape == (3, 3)
     assert np.all(np.diag(matrix) == 0)
     assert gram_residual(THREE, matrix) <= 1e-12
@@ -289,17 +293,17 @@ def test_t_matrix_gram_identity_random_configs():
     rng = np.random.default_rng(21)
     for _ in range(50):
         cfg = config(*(random_line(rng) for _ in range(4)))
-        try:
-            matrix = t_matrix(cfg)
-        except DegeneratePairError:
+        report = config_report(cfg)
+        if report.has_parallel:
             continue
+        matrix = t_matrix(report)
         assert gram_residual(cfg, matrix) <= 1e-10
 
 
 def test_t_matrix_rejects_parallel():
     cfg = config(X_AXIS, (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])))
-    with pytest.raises(DegeneratePairError):
-        t_matrix(cfg)
+    with pytest.raises(GeometryError, match="lines 0 and 1 are parallel"):
+        t_matrix(config_report(cfg))
 
 
 def test_check_realization_bundled_config():
@@ -320,7 +324,7 @@ def test_check_realization_two_skew_lines():
 
 def test_check_realization_rejects_wrong_distance():
     stretched = config(X_AXIS, (np.array([0.0, 0.0, 2.0]), np.array([0.0, 1.0, 0.0])))
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(GeometryError, match="not 1 within"):
         check_realization(config_report(stretched))
 
 
@@ -333,11 +337,21 @@ def test_check_realization_preconditions():
     assert refused.type is GeometryError
 
 
+def test_graph_and_matrix_refuse_reports_outside_r3():
+    four_d = config_report(
+        LineConfig(4, [[0.0, 0, 0, 0], [0.0, 0, 0, 1]], [[1.0, 0, 0, 0], [0.0, 1, 0, 0]])
+    )
+    with pytest.raises(GeometryError, match="only in R\\^3"):
+        chirality_graph(four_d)
+    with pytest.raises(GeometryError, match="only in R\\^3"):
+        t_matrix(four_d)
+
+
 def test_check_realization_refuses_parallel_pair_at_unit_distance():
     parallel = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
     report = config_report(config(X_AXIS, parallel, L3))
     assert report.distances_ok
-    with pytest.raises(DegeneratePairError, match="lines 0 and 1 are parallel"):
+    with pytest.raises(GeometryError, match="lines 0 and 1 are parallel"):
         check_realization(report)
 
 
@@ -346,7 +360,7 @@ def test_check_realization_refuses_stray_distance_before_parallel_pair():
     parallel = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
     far = (np.array([0.0, 0.0, 5.0]), np.array([0.0, 1.0, 0.0]))
     report = config_report(config(X_AXIS, parallel, far))
-    with pytest.raises(InvalidConfigError, match="lines 0 and 2 at distance 5.0"):
+    with pytest.raises(GeometryError, match="lines 0 and 2 at distance 5.0, not 1 within"):
         check_realization(report)
 
 
